@@ -10,7 +10,6 @@ import numpy as np
 from signvote import sign, sum_signs
 from signvote.optimizers import (
     OptimizerConfig,
-    WorkerState,
     apply_update,
     server_aggregate_signs,
     worker_message,
@@ -24,12 +23,12 @@ estimates = [
 ]
 
 cfg = OptimizerConfig("signum", eta=0.1, beta=0.9)
-states = [WorkerState(4) for _ in estimates]
+momentum = np.zeros((len(estimates), 4))  # one zero-initialized row per worker
 
 print("worker messages (sign of momentum buffer):")
 messages = []
-for m, (state, g) in enumerate(zip(states, estimates)):
-    msg = worker_message(cfg, state, g)
+for m, g in enumerate(estimates):
+    msg = worker_message(cfg, momentum[m], g)
     messages.append(msg)
     print(f"  worker {m}: {g} -> {msg}")
 

@@ -33,7 +33,7 @@ which is why the zeroing variant is the default attack in experiments.
 
 BASE = ExperimentConfig(
     model=ModelSpec("logistic-regression", 20, num_classes=2),
-    data=SyntheticData("logistic-regression", 20, 2000),
+    data=SyntheticData(kind="logistic-regression", n_samples=2000),
     optimizer=OptimizerConfig("signum", eta=0.035, beta=0.9, batch_size=16),
     n_workers=15,
     n_rounds=300,

@@ -15,7 +15,7 @@ from signvote.simulation import AdversaryConfig, ExperimentConfig, SyntheticData
 
 BASE = ExperimentConfig(
     model=ModelSpec("logistic-regression", 20, num_classes=2),
-    data=SyntheticData("logistic-regression", 20, 2000),
+    data=SyntheticData(kind="logistic-regression", n_samples=2000),
     optimizer=OptimizerConfig("dist-sgd", eta=0.35, batch_size=16),
     n_workers=3,
     n_rounds=300,

@@ -10,14 +10,11 @@ vectors against mean aggregation, sign votes against the majority vote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import as_vector, check_finite, sequential_sum, sign
 
 __all__ = [
-    "AdversarySpec",
     "COLLUDE_VARIANTS",
     "SGD_ONLY_STRATEGIES",
     "SIGN_ONLY_STRATEGIES",
@@ -43,26 +40,6 @@ SIGN_ONLY_STRATEGIES = ("byz-collude-zeroing", "byz-collude-alternating", "byz-o
 SGD_ONLY_STRATEGIES = ("byz-inverse-sum",)
 
 COLLUDE_VARIANTS = ("zeroing", "alternating")
-
-
-@dataclass(frozen=True)
-class AdversarySpec:
-    """Concrete adversary assignment for a run: strategy plus worker count f.
-
-    A count of zero means the strategy is dormant (a clean run); the attack
-    functions themselves require f >= 1.
-    """
-
-    strategy: str
-    byzantine_count: int = 0
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.byzantine_count < 0:
-            raise ValueError("byzantine_count must be >= 0")
-        if self.strategy == "none" and self.byzantine_count != 0:
-            raise ValueError("strategy 'none' cannot have adversarial workers")
 
 
 def blind_invert(grad_estimate) -> np.ndarray:

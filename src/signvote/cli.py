@@ -62,12 +62,19 @@ def _read_config(path: str, overrides, seed: int | None) -> dict:
     return mapping
 
 
+def _make_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # e.g. the path names an existing file
+        raise ValueError(f"cannot use {path!r} as output directory: {exc}") from exc
+    return path
+
+
 def _resolve_out(args, cfg) -> str:
     out = args.out or cfg.out_dir
     if not out:
         raise ValueError("no output directory: pass --out or set run.out in the config")
-    os.makedirs(out, exist_ok=True)
-    return out
+    return _make_dir(out)
 
 
 def _write_run(record: RunRecord, out_dir: str) -> dict:
@@ -108,7 +115,7 @@ def _cmd_run(args) -> int:
             out = _resolve_out(args, cfg)
         except ValueError as exc:
             return _error("usage", str(exc))
-        record = run_experiment(cfg, parallel=args.parallel)
+        record = run_experiment(cfg)
         result = _write_run(record, out)
         _emit({"status": "ok", **result})
         return EXIT_OK
@@ -133,13 +140,12 @@ def _cmd_sweep(args) -> int:
             alphas = _parse_grid(args.alphas, float, "alpha")
             rules = _parse_grid(args.rules, str, "rule")
             pairs = sweep_configs(base, alphas, rules)
+            run_dirs = [_make_dir(os.path.join(out, name)) for name, _ in pairs]
         except ValueError as exc:
             return _error("usage", str(exc))
         runs = []
-        for name, cfg in pairs:
-            run_dir = os.path.join(out, name)
-            os.makedirs(run_dir, exist_ok=True)
-            record = run_experiment(cfg, parallel=args.parallel)
+        for (name, cfg), run_dir in zip(pairs, run_dirs):
+            record = run_experiment(cfg)
             runs.append({"name": name, **_write_run(record, run_dir)})
         _emit({"status": "ok", "out": out, "runs": runs})
         return EXIT_OK
@@ -193,8 +199,10 @@ def _cmd_verify_bounds(args) -> int:
         return _error("config-invalid", str(exc))
     if not rows:
         return _error("empty-grid", "the configured grids contain no check points")
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        out = _make_dir(args.out or ".")
+    except ValueError as exc:
+        return _error("usage", str(exc))
     theory.write_bound_report_csv(rows, os.path.join(out, "bounds.csv"))
     summary = theory.summarize_report(rows)
     with open(os.path.join(out, "bounds_summary.json"), "w", encoding="utf-8") as handle:
@@ -296,14 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="execute one experiment")
     _add_config_args(run)
-    run.add_argument("--parallel", action="store_true", help="run workers on a thread pool")
     run.set_defaults(func=_cmd_run)
 
     sweep = commands.add_parser("sweep", help="one run per (alpha, rule) pair")
     _add_config_args(sweep)
     sweep.add_argument("--alphas", required=True, help="comma-separated adversary fractions")
     sweep.add_argument("--rules", required=True, help="comma-separated optimizer rules")
-    sweep.add_argument("--parallel", action="store_true")
     sweep.set_defaults(func=_cmd_sweep)
 
     verify = commands.add_parser("verify-bounds", help="check bounds on a numeric grid")

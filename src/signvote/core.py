@@ -114,8 +114,8 @@ class RngStream:
     Built on the counter-based Philox generator: streams with distinct ids are
     statistically independent, and a stream's draws depend only on its key,
     never on the order streams are created or consumed.  Two streams built
-    with the same (seed, stream_id) produce identical sequences, which is what
-    makes parallel and sequential execution bit-identical.
+    with the same (seed, stream_id) produce identical sequences, so a run's
+    results do not depend on the order in which workers draw.
 
     The key is immutable; drawing from :attr:`generator` advances internal
     state as usual.

@@ -34,6 +34,7 @@ __all__ = [
     "IdxFormatError",
     "MODEL_KINDS",
     "ModelSpec",
+    "SYNTHETIC_KINDS",
     "TruncatedIdxError",
     "accuracy",
     "finite_difference_grad",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("linear-regression", "logistic-regression", "mlp")
+SYNTHETIC_KINDS = ("linear-regression", "logistic-regression")
 
 DEFAULT_HIDDEN_DIM = 32
 
@@ -365,7 +367,7 @@ def generate_synthetic(rng: RngStream, kind: str, input_dim: int, n_samples: int
     Returns the dataset and the generating parameters padded to the model
     layout (bias 0), so a noiseless linear fit at those params is exactly 0.
     """
-    if kind not in ("linear-regression", "logistic-regression"):
+    if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"synthetic data supports linear/logistic regression, not {kind!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

@@ -1,7 +1,8 @@
 """Update rules: plain distributed SGD, sign descent, and its momentum variant.
 
 Workers fold each stochastic gradient estimate into a momentum buffer
-``v <- (1 - beta) g + beta v`` and transmit either ``sign(v)`` (sign rules) or
+``v <- (1 - beta) g + beta v``, one row of the engine's (workers x params)
+momentum array, and transmit either ``sign(v)`` (sign rules) or
 the raw estimate (dist-sgd).  The server is a one-liner either way: the mean
 of dense messages, or the sign of the coordinate-wise sign sum -- a majority
 vote whose exact ties broadcast 0 and freeze the coordinate for the round.
@@ -21,7 +22,6 @@ __all__ = [
     "RULES",
     "SIGN_RULES",
     "Schedule",
-    "WorkerState",
     "apply_update",
     "effective_eta",
     "prescribed_hyperparams",
@@ -72,15 +72,6 @@ class OptimizerConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-class WorkerState:
-    """Per-worker momentum buffer, zero-initialized."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, dim: int):
-        self.v = np.zeros(dim, dtype=np.float64)
-
-
 def effective_eta(cfg: OptimizerConfig, step: int) -> float:
     """Learning rate at a given step index under the decay schedule."""
     if step < 0:
@@ -88,18 +79,22 @@ def effective_eta(cfg: OptimizerConfig, step: int) -> float:
     return cfg.eta / cfg.schedule.decay_factor ** (step // cfg.schedule.decay_every)
 
 
-def worker_message(cfg: OptimizerConfig, state: WorkerState, grad_estimate) -> np.ndarray:
+def worker_message(cfg: OptimizerConfig, momentum: np.ndarray, grad_estimate) -> np.ndarray:
     """Fold the new gradient estimate into momentum and emit the wire message.
 
-    Sign rules send ``sign(v)`` as an int8 sign vector; dist-sgd sends the
-    dense estimate itself.  The momentum buffer is updated in both cases.
+    ``momentum`` is the worker's float64 buffer, updated in place in both
+    cases (start it at zero).  Sign rules send ``sign(v)`` as an int8 sign
+    vector; dist-sgd sends the dense estimate itself.
     """
     g = as_vector(grad_estimate, "gradient estimate")
-    if g.size != state.v.size:
-        raise ValueError(f"gradient length {g.size} != state length {state.v.size}")
-    state.v = (1.0 - cfg.beta) * g + cfg.beta * state.v
+    # an in-place write into any other dtype would cast silently
+    if not isinstance(momentum, np.ndarray) or momentum.dtype != np.float64:
+        raise ValueError("momentum must be a float64 numpy array")
+    if momentum.shape != g.shape:
+        raise ValueError(f"gradient length {g.size} != momentum shape {momentum.shape}")
+    momentum[...] = (1.0 - cfg.beta) * g + cfg.beta * momentum
     if cfg.rule in SIGN_RULES:
-        return sign(state.v)
+        return sign(momentum)
     return g
 
 

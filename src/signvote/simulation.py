@@ -9,15 +9,14 @@ update.
 
 Determinism contract: every random draw comes from an :class:`~signvote.core.RngStream`
 keyed by (seed, stream id).  Worker m uses stream id m and synthetic data
-generation uses :data:`DATA_STREAM_ID`, so results depend on neither execution
-order nor the ``parallel`` flag.
+generation uses :data:`DATA_STREAM_ID`, so results do not depend on the
+order in which workers are visited.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +25,6 @@ from .adversaries import (
     SGD_ONLY_STRATEGIES,
     SIGN_ONLY_STRATEGIES,
     STRATEGIES,
-    AdversarySpec,
     blind_invert,
     byz_collude_signs,
     byz_inverse_sum,
@@ -34,7 +32,9 @@ from .adversaries import (
 )
 from .core import RngStream, sum_signs
 from .models import (
+    SYNTHETIC_KINDS,
     Dataset,
+    IdxFormatError,
     ModelSpec,
     accuracy,
     full_batch,
@@ -49,7 +49,6 @@ from .optimizers import (
     SIGN_RULES,
     OptimizerConfig,
     Schedule,
-    WorkerState,
     apply_update,
     effective_eta,
     server_aggregate_sgd,
@@ -90,14 +89,24 @@ def byzantine_count(alpha: float, n_workers: int) -> int:
     return int(np.floor(alpha * n_workers + 0.5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SyntheticData:
-    """Synthetic dataset request; ``kind`` names the generating family."""
+    """Synthetic dataset request; ``kind`` names the generating family.
+
+    The feature width is the model's ``input_dim``.
+    """
 
     kind: str
-    input_dim: int
     n_samples: int
     noise_level: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in SYNTHETIC_KINDS:
+            raise ValueError(f"synthetic data supports {SYNTHETIC_KINDS}, not {self.kind!r}")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        if self.noise_level < 0:
+            raise ValueError("noise_level must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -191,13 +200,25 @@ class RunRecord:
 
 
 def load_data(cfg: ExperimentConfig) -> Dataset:
-    """Materialize the configured dataset (synthetic generation is seeded)."""
+    """Materialize the configured dataset (synthetic generation is seeded).
+
+    IDX files must fit the model: one pixel per input and labels below
+    ``num_classes``; anything else raises :class:`IdxFormatError`.
+    """
+    spec = cfg.model
     if isinstance(cfg.data, IdxData):
-        return load_idx(cfg.data.images_path, cfg.data.labels_path)
+        data = load_idx(cfg.data.images_path, cfg.data.labels_path)
+        if data.input_dim != spec.input_dim:
+            raise IdxFormatError(f"{cfg.data.images_path}: {data.input_dim} pixels per image "
+                                 f"!= model input_dim {spec.input_dim}")
+        if spec.is_classification and data.labels.max() >= spec.num_classes:
+            raise IdxFormatError(f"{cfg.data.labels_path}: label {int(data.labels.max())} out "
+                                 f"of range for {spec.num_classes} classes")
+        return data
     data, _ = generate_synthetic(
         RngStream(cfg.seed, DATA_STREAM_ID),
         cfg.data.kind,
-        cfg.data.input_dim,
+        spec.input_dim,
         cfg.data.n_samples,
         cfg.data.noise_level,
     )
@@ -207,9 +228,9 @@ def load_data(cfg: ExperimentConfig) -> Dataset:
 def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
     """Execute the configured run and collect metrics every ``eval_every`` steps.
 
-    ``parallel`` fans the first (honest) phase out over a thread pool; results
-    are collected back in worker order, so the record is bit-identical to a
-    sequential run.
+    Rounds run sequentially, worker by worker; worker m's momentum is row m
+    of one zero-initialized (workers x params) array.  ``parallel`` is
+    accepted and has no effect; it stays for existing callers that pass it.
     """
     t_start = time.perf_counter()
     data = load_data(cfg)
@@ -217,13 +238,12 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
     dim = spec.param_dim
     n_workers = cfg.n_workers
     f = 0 if cfg.adversary.strategy == "none" else byzantine_count(cfg.adversary.alpha, n_workers)
-    assignment = AdversarySpec(cfg.adversary.strategy if f > 0 else "none", f)
-    strategy, f = assignment.strategy, assignment.byzantine_count
+    strategy = cfg.adversary.strategy if f > 0 else "none"
     sign_rule = opt.rule in SIGN_RULES
 
     x = initial_params(spec, RngStream(cfg.seed, INIT_STREAM_ID))
     streams = [RngStream(cfg.seed, m) for m in range(n_workers)]
-    states = [WorkerState(dim) for _ in range(n_workers)]
+    momentum = np.zeros((n_workers, dim), dtype=np.float64)
     # phase-one workers: everyone for none/blind (blind workers see nothing and
     # flip only their own estimate); only the honest tail for omniscient attacks
     phase_one = range(n_workers) if strategy in ("none", "blind-invert") else range(f, n_workers)
@@ -234,50 +254,41 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
         return RoundMetrics(step, loss(spec, x, data, whole), acc, eta, agreement, zero_frac)
 
     metrics = [evaluate(0, effective_eta(opt, 0), float("nan"), float("nan"))]
-    executor = ThreadPoolExecutor(max_workers=max(1, len(phase_one))) if parallel else None
-    try:
-        for t in range(cfg.n_rounds):
-            eval_now = (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.n_rounds
-            true_grad = None
-            if eval_now or strategy == "byz-oppose-true-sign":
-                true_grad = grad(spec, x, data, whole)
+    for t in range(cfg.n_rounds):
+        eval_now = (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.n_rounds
+        true_grad = None
+        if eval_now or strategy == "byz-oppose-true-sign":
+            true_grad = grad(spec, x, data, whole)
 
-            def phase_one_message(m: int, x=x) -> np.ndarray:
-                batch = sample_batch(streams[m], data.n_samples, opt.batch_size)
-                g = grad(spec, x, data, batch)
-                if strategy == "blind-invert" and m < f:
-                    g = blind_invert(g)
-                return worker_message(opt, states[m], g)
+        messages = []
+        for m in phase_one:
+            batch = sample_batch(streams[m], data.n_samples, opt.batch_size)
+            g = grad(spec, x, data, batch)
+            if strategy == "blind-invert" and m < f:
+                g = blind_invert(g)
+            messages.append(worker_message(opt, momentum[m], g))
 
-            if executor is not None:
-                messages = list(executor.map(phase_one_message, phase_one))
-            else:
-                messages = [phase_one_message(m) for m in phase_one]
+        if strategy == "byz-inverse-sum":
+            messages += byz_inverse_sum(messages, f, dim=dim)
+        elif strategy == "byz-oppose-true-sign":
+            messages += byz_oppose_true_sign(true_grad, f)
+        elif strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
+            honest_sum = sum_signs(messages) if messages else np.zeros(dim)
+            variant = "zeroing" if strategy == "byz-collude-zeroing" else "alternating"
+            byz_messages, _ = byz_collude_signs(honest_sum, f, variant)
+            messages += byz_messages
 
-            if strategy == "byz-inverse-sum":
-                messages += byz_inverse_sum(messages, f, dim=dim)
-            elif strategy == "byz-oppose-true-sign":
-                messages += byz_oppose_true_sign(true_grad, f)
-            elif strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
-                honest_sum = sum_signs(messages) if messages else np.zeros(dim)
-                variant = "zeroing" if strategy == "byz-collude-zeroing" else "alternating"
-                byz_messages, _ = byz_collude_signs(honest_sum, f, variant)
-                messages += byz_messages
+        if sign_rule:
+            direction = server_aggregate_signs(messages)
+        else:
+            direction = server_aggregate_sgd(messages)
+        x = apply_update(opt, x, direction, t)
 
-            if sign_rule:
-                direction = server_aggregate_signs(messages)
-            else:
-                direction = server_aggregate_sgd(messages)
-            x = apply_update(opt, x, direction, t)
-
-            if eval_now:
-                dense = np.asarray(direction, dtype=np.float64)
-                agreement = float(np.mean(np.sign(dense) == np.sign(true_grad)))
-                zero_frac = float(np.mean(dense == 0.0))
-                metrics.append(evaluate(t + 1, effective_eta(opt, t), agreement, zero_frac))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        if eval_now:
+            dense = np.asarray(direction, dtype=np.float64)
+            agreement = float(np.mean(np.sign(dense) == np.sign(true_grad)))
+            zero_frac = float(np.mean(dense == 0.0))
+            metrics.append(evaluate(t + 1, effective_eta(opt, t), agreement, zero_frac))
 
     return RunRecord(cfg, metrics, x, time.perf_counter() - t_start)
 
@@ -305,10 +316,9 @@ def sweep_configs(base: ExperimentConfig, alpha_grid, rule_grid):
     return pairs
 
 
-def run_sweep(base: ExperimentConfig, alpha_grid, rule_grid,
-              parallel: bool = False) -> list[RunRecord]:
+def run_sweep(base: ExperimentConfig, alpha_grid, rule_grid) -> list[RunRecord]:
     """One run per (alpha, rule) combination; see :func:`sweep_configs`."""
-    return [run_experiment(cfg, parallel=parallel) for _, cfg in sweep_configs(base, alpha_grid, rule_grid)]
+    return [run_experiment(cfg) for _, cfg in sweep_configs(base, alpha_grid, rule_grid)]
 
 
 # -- artifacts -----------------------------------------------------------------
@@ -435,7 +445,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     elif source == "synthetic":
         data = SyntheticData(
             kind=_take(dsec, "kind", str, default=model.kind),
-            input_dim=model.input_dim,
             n_samples=_take(dsec, "samples", int, required=True),
             noise_level=_take(dsec, "noise_level", float, default=0.0),
         )

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from signvote.adversaries import (
-    AdversarySpec,
     blind_invert,
     byz_collude_signs,
     byz_inverse_sum,
@@ -161,15 +160,3 @@ class TestOpposeTrueSign:
         with pytest.raises(ValueError):
             byz_oppose_true_sign([1.0], 0)
 
-
-class TestAdversarySpec:
-    def test_none_with_count_rejected(self):
-        with pytest.raises(ValueError):
-            AdversarySpec("none", 2)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            AdversarySpec("sybil", 1)
-
-    def test_dormant_strategy_allowed(self):
-        assert AdversarySpec("byz-inverse-sum", 0).byzantine_count == 0

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from signvote.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -87,6 +89,28 @@ class TestRun:
         assert code == 2
         assert payload["error"] == "config-invalid"
 
+    def test_zero_synthetic_samples_exit_2(self, tmp_path, capsys):
+        cfg = write_quick_config(tmp_path, {("data", "samples"): "0"})
+        code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert payload["error"] == "config-invalid"
+        assert "n_samples" in payload["message"]
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        cfg = write_quick_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(taken))
+        assert code == 2
+        assert payload["error"] == "usage"
+
+    def test_parallel_flag_rejected(self, tmp_path, capsys):
+        cfg = write_quick_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(tmp_path / "x"), "--parallel"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
     def test_bad_override_exit_2(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
         code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -101,6 +125,19 @@ class TestRun:
              ("data", "images"): str(tmp_path / "no-images"),
              ("data", "labels"): str(tmp_path / "no-labels")},
         )
+        code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert payload["error"] == "dataset-error"
+
+    def test_idx_width_mismatch_exit_2(self, tmp_path, capsys):
+        import struct
+
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(16))
+        labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes(4))
+        cfg = write_quick_config(tmp_path, {("data", "source"): "idx",
+                                            ("data", "images"): str(images),
+                                            ("data", "labels"): str(labels)})
         code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"))
         assert code == 2
         assert payload["error"] == "dataset-error"
@@ -133,6 +170,18 @@ class TestSweep:
                                 "--alphas", "", "--rules", "signsgd")
         assert code == 2
         assert payload["error"] == "usage"
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        cfg = write_quick_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        (tmp_path / "sweep").mkdir()
+        (tmp_path / "sweep" / "signsgd-alpha0").write_text("")
+        for out in (taken, tmp_path / "sweep"):
+            code, payload = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out),
+                                    "--alphas", "0", "--rules", "signsgd")
+            assert code == 2
+            assert payload["error"] == "usage"
 
 
 class TestVerifyBounds:
@@ -167,6 +216,16 @@ class TestVerifyBounds:
                                 "--grid-config", str(grid))
         assert code == 2
         assert payload["error"] in ("empty-grid", "config-invalid")
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("[sign-error]\nsnr =\n[vote]\nworkers = 11\np = 0.9\nalpha = 0\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, payload = run_cli(capsys, "verify-bounds", "--out", str(taken),
+                                "--grid-config", str(grid))
+        assert code == 2
+        assert payload["error"] == "usage"
 
 
 class TestGradientCheck:

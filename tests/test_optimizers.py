@@ -6,7 +6,6 @@ import pytest
 from signvote.optimizers import (
     OptimizerConfig,
     Schedule,
-    WorkerState,
     apply_update,
     effective_eta,
     prescribed_hyperparams,
@@ -22,36 +21,48 @@ def cfg(rule="signsgd", eta=0.1, **kw):
 
 class TestWorkerMessage:
     def test_no_momentum_is_plain_sign(self):
-        state = WorkerState(3)
-        msg = worker_message(cfg("signsgd"), state, [10.0, -0.5, 0.0])
+        momentum = np.zeros(3)
+        msg = worker_message(cfg("signsgd"), momentum, [10.0, -0.5, 0.0])
         np.testing.assert_array_equal(msg, [1, -1, 0])
 
     def test_first_momentum_step(self):
-        state = WorkerState(2)
-        msg = worker_message(cfg("signum", beta=0.9), state, [10.0, -10.0])
-        np.testing.assert_allclose(state.v, [1.0, -1.0], rtol=1e-15)
+        momentum = np.zeros(2)
+        msg = worker_message(cfg("signum", beta=0.9), momentum, [10.0, -10.0])
+        np.testing.assert_allclose(momentum, [1.0, -1.0], rtol=1e-15)
         np.testing.assert_array_equal(msg, [1, -1])
 
     def test_constant_gradient_converges_geometrically(self):
         # v_t = g (1 - beta^t) for constant g from a zero buffer
         beta = 0.7
         g = np.array([2.0, -3.0])
-        state = WorkerState(2)
+        momentum = np.zeros(2)
         for t in range(1, 20):
-            msg = worker_message(cfg("signum", beta=beta), state, g)
-            np.testing.assert_allclose(state.v, g * (1 - beta**t), rtol=1e-12)
+            msg = worker_message(cfg("signum", beta=beta), momentum, g)
+            np.testing.assert_allclose(momentum, g * (1 - beta**t), rtol=1e-12)
             np.testing.assert_array_equal(msg, [1, -1])
 
     def test_dist_sgd_sends_raw_estimate(self):
-        state = WorkerState(2)
+        momentum = np.zeros(2)
         g = np.array([0.25, -4.0])
-        msg = worker_message(cfg("dist-sgd"), state, g)
+        msg = worker_message(cfg("dist-sgd"), momentum, g)
         np.testing.assert_array_equal(msg, g)
         assert msg.dtype == np.float64
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            worker_message(cfg(), WorkerState(3), [1.0, 2.0])
+            worker_message(cfg(), np.zeros(3), [1.0, 2.0])
+
+    @pytest.mark.parametrize("momentum", [np.zeros((1, 2)), np.zeros(2, dtype=np.int64),
+                                          np.zeros(2, dtype=np.float32), [0.0, 0.0]])
+    def test_rejects_bad_momentum_buffer(self, momentum):
+        # an in-place write into an integer buffer would truncate without a word
+        with pytest.raises(ValueError, match="momentum"):
+            worker_message(cfg("signum", beta=0.5), momentum, [0.75, -0.25])
+
+    def test_updates_row_of_momentum_array_in_place(self):
+        momentum = np.zeros((3, 2))
+        worker_message(cfg("signum", beta=0.5), momentum[1], [2.0, -4.0])
+        np.testing.assert_array_equal(momentum, [[0.0, 0.0], [1.0, -2.0], [0.0, 0.0]])
 
 
 class TestServerAggregateSigns:
@@ -204,8 +215,8 @@ class TestAggregationPermutationInvariance:
     def test_sign_rules_identical_when_beta_zero(self):
         # signum with beta=0 and signsgd share the exact same arithmetic
         g = np.random.default_rng(6).standard_normal(8)
-        s1, s2 = WorkerState(8), WorkerState(8)
-        m1 = worker_message(cfg("signsgd"), s1, g)
-        m2 = worker_message(cfg("signum", beta=0.0), s2, g)
+        v1, v2 = np.zeros(8), np.zeros(8)
+        m1 = worker_message(cfg("signsgd"), v1, g)
+        m2 = worker_message(cfg("signum", beta=0.0), v2, g)
         np.testing.assert_array_equal(m1, m2)
-        np.testing.assert_array_equal(s1.v, s2.v)
+        np.testing.assert_array_equal(v1, v2)

@@ -34,7 +34,7 @@ def make_config(rule="signsgd", eta=0.05, beta=0.0, strategy="none", alpha=0.0,
     opt_kw = {"schedule": schedule} if schedule is not None else {}
     return ExperimentConfig(
         model=model,
-        data=SyntheticData(kind, input_dim, samples),
+        data=SyntheticData(kind=kind, n_samples=samples),
         optimizer=OptimizerConfig(rule, eta, beta=beta, batch_size=batch_size, **opt_kw),
         n_workers=workers,
         adversary=AdversaryConfig(strategy, alpha),
@@ -76,12 +76,12 @@ class TestDeterminism:
         assert same_metrics(a.metrics, b.metrics)
         np.testing.assert_array_equal(a.final_params, b.final_params)
 
-    def test_parallel_matches_sequential(self):
-        cfg = make_config(rule="signum", beta=0.9, strategy="blind-invert", alpha=0.2)
-        seq = run_experiment(cfg, parallel=False)
-        par = run_experiment(cfg, parallel=True)
-        assert same_metrics(seq.metrics, par.metrics)
-        np.testing.assert_array_equal(seq.final_params, par.final_params)
+    def test_none_strategy_ignores_alpha(self):
+        # strategy 'none' means no adversaries, whatever fraction is configured
+        clean = run_experiment(make_config(rule="signum", beta=0.9))
+        dormant = run_experiment(make_config(rule="signum", beta=0.9, alpha=0.4))
+        assert same_metrics(clean.metrics, dormant.metrics)
+        np.testing.assert_array_equal(clean.final_params, dormant.final_params)
 
     def test_signsgd_equals_signum_with_zero_beta(self):
         a = run_experiment(make_config(rule="signsgd"))
@@ -255,22 +255,18 @@ class TestReplicaConsistency:
         record = run_experiment(cfg)
 
         from signvote.models import grad, sample_batch
-        from signvote.optimizers import (
-            WorkerState,
-            apply_update,
-            server_aggregate_signs,
-            worker_message,
-        )
+        from signvote.optimizers import apply_update, server_aggregate_signs, worker_message
 
         data = load_data(cfg)
         replicas = [np.zeros(cfg.model.param_dim) for _ in range(cfg.n_workers)]
         streams = [RngStream(cfg.seed, m) for m in range(cfg.n_workers)]
-        states = [WorkerState(cfg.model.param_dim) for _ in range(cfg.n_workers)]
+        buffers = [np.zeros(cfg.model.param_dim) for _ in range(cfg.n_workers)]
         for t in range(cfg.n_rounds):
             msgs = []
             for m in range(cfg.n_workers):
                 batch = sample_batch(streams[m], data.n_samples, cfg.optimizer.batch_size)
-                msgs.append(worker_message(cfg.optimizer, states[m], grad(cfg.model, replicas[m], data, batch)))
+                g = grad(cfg.model, replicas[m], data, batch)
+                msgs.append(worker_message(cfg.optimizer, buffers[m], g))
             direction = server_aggregate_signs(msgs)
             replicas = [apply_update(cfg.optimizer, r, direction, t) for r in replicas]
             assert all(np.array_equal(replicas[0], r) for r in replicas[1:])
@@ -294,6 +290,24 @@ class TestConfigValidation:
             make_config(workers=0)
         with pytest.raises(ValueError):
             make_config(rounds=0)
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            AdversaryConfig("sybil", 0.1)
+
+    @pytest.mark.parametrize("kw,match", [
+        ({"kind": "logistic-regression", "n_samples": 0}, "n_samples"),
+        ({"kind": "linear-regression", "n_samples": 10, "noise_level": -0.1}, "noise_level"),
+        ({"kind": "mlp", "n_samples": 10}, "synthetic data supports"),
+    ])
+    def test_synthetic_data_rejected_at_construction(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticData(**kw)
+
+    def test_synthetic_data_fields_are_keyword_only(self):
+        # a (kind, input_dim, n_samples) call must fail, not take 20 as the sample count
+        with pytest.raises(TypeError):
+            SyntheticData("logistic-regression", 20, 2000)
 
 
 class TestArtifacts:
@@ -337,31 +351,55 @@ class TestArtifacts:
             config_from_mapping(mapping)
 
 
+def write_idx_pair(tmp_path, pixels, labels):
+    """Write (n, rows, cols) uint8 pixels and n uint8 labels as an IDX pair."""
+    import struct
+
+    from signvote.simulation import IdxData
+
+    n, rows, cols = pixels.shape
+    images_path = tmp_path / "img.idx"
+    labels_path = tmp_path / "lab.idx"
+    images_path.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + pixels.tobytes())
+    labels_path.write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
+    return IdxData(str(images_path), str(labels_path))
+
+
+def idx_config(data):
+    return ExperimentConfig(
+        model=ModelSpec("mlp", 9, hidden_dim=6, num_classes=3),
+        data=data,
+        optimizer=OptimizerConfig("signum", 0.05, beta=0.9, batch_size=5),
+        n_workers=3,
+        n_rounds=100,
+        seed=11,
+    )
+
+
 class TestIdxBackedRun:
     def test_mlp_trains_on_idx_fixture(self, tmp_path):
-        import struct
-
         rng = np.random.default_rng(4)
         pixels = rng.integers(0, 256, size=(30, 3, 3), dtype=np.uint8)
         # learnable signal: class = tercile of mean pixel intensity
         brightness = pixels.reshape(30, -1).mean(axis=1)
         labels = (np.digitize(brightness, np.quantile(brightness, [1 / 3, 2 / 3]))
                   .astype(np.uint8))
-        images_path = tmp_path / "img.idx"
-        labels_path = tmp_path / "lab.idx"
-        images_path.write_bytes(struct.pack(">IIII", 0x803, 30, 3, 3) + pixels.tobytes())
-        labels_path.write_bytes(struct.pack(">II", 0x801, 30) + labels.tobytes())
-
-        from signvote.simulation import IdxData
-
-        cfg = ExperimentConfig(
-            model=ModelSpec("mlp", 9, hidden_dim=6, num_classes=3),
-            data=IdxData(str(images_path), str(labels_path)),
-            optimizer=OptimizerConfig("signum", 0.05, beta=0.9, batch_size=5),
-            n_workers=3,
-            n_rounds=100,
-            seed=11,
-        )
+        cfg = idx_config(write_idx_pair(tmp_path, pixels, labels))
         record = run_experiment(cfg)
         assert record.metrics[-1].train_loss < record.metrics[0].train_loss
         assert 0.0 <= record.metrics[-1].eval_accuracy <= 1.0
+
+    def test_image_width_must_match_model(self, tmp_path):
+        from signvote.models import IdxFormatError
+
+        data = write_idx_pair(tmp_path, np.zeros((4, 2, 3), np.uint8), np.zeros(4, np.uint8))
+        with pytest.raises(IdxFormatError, match="input_dim 9"):
+            load_data(idx_config(data))
+
+    def test_labels_must_fit_num_classes(self, tmp_path):
+        from signvote.models import IdxFormatError
+
+        data = write_idx_pair(tmp_path, np.zeros((4, 3, 3), np.uint8),
+                              np.array([0, 1, 3, 2], np.uint8))
+        with pytest.raises(IdxFormatError, match="label 3 out of range for 3 classes"):
+            load_data(idx_config(data))
