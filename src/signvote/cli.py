@@ -22,6 +22,7 @@ from .simulation import (
     load_data,
     run_experiment,
     sweep_configs,
+    write_json,
     write_metrics_csv,
     write_summary_json,
 )
@@ -35,8 +36,7 @@ GRADIENT_CHECK_TOLERANCE = 1e-5
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    write_json(payload, sys.stdout)
 
 
 def _error(kind: str, message: str, code: int = EXIT_USAGE) -> int:
@@ -206,8 +206,7 @@ def _cmd_verify_bounds(args) -> int:
     theory.write_bound_report_csv(rows, os.path.join(out, "bounds.csv"))
     summary = theory.summarize_report(rows)
     with open(os.path.join(out, "bounds_summary.json"), "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        write_json(summary, handle, indent=2)
     _emit({"status": "ok" if summary["all_pass"] else "violations", **summary})
     return EXIT_OK if summary["all_pass"] else EXIT_FAIL
 
@@ -249,6 +248,11 @@ def _load_run_dir(run_dir: str) -> dict:
     return {"summary": summary, "steps": steps, "losses": losses}
 
 
+def _float_or_nan(value) -> float:
+    """A summary number; ``null`` (written for NaN or infinity) reads as NaN."""
+    return float("nan") if value is None else float(value)
+
+
 def _cmd_report(args) -> int:
     rows = []
     for run_dir in args.run_dirs:
@@ -270,8 +274,8 @@ def _cmd_report(args) -> int:
         rows.append(",".join([
             str(config["optimizer"]["rule"]),
             repr(float(config["adversary"]["alpha"])),
-            repr(float(final["loss"])),
-            repr(float(final["accuracy"])),
+            repr(_float_or_nan(final["loss"])),
+            repr(_float_or_nan(final["accuracy"])),
             steps_to,
         ]))
     if not rows:

@@ -41,11 +41,22 @@ def check_finite(values: np.ndarray, name: str = "vector") -> None:
 
 
 def as_signs(values, name: str = "sign vector") -> np.ndarray:
-    """Coerce to a 1-D int8 array and verify every entry is -1, 0, or +1."""
+    """Coerce to a 1-D int8 array and verify every entry is -1, 0, or +1.
+
+    Integer and bool arrays are checked by range (min >= -1 and max <= 1),
+    which for those dtypes accepts exactly what the set membership test
+    accepts, at a fraction of its cost.  Every other dtype (float, complex, object) goes
+    through ``np.isin``, so NaN and fractional values are rejected and -0.0
+    is accepted as 0.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.isin(arr, (-1, 0, 1)).all():
+    if arr.dtype.kind in "biu":
+        valid = arr.size == 0 or (arr.min() >= -1 and arr.max() <= 1)
+    else:
+        valid = np.isin(arr, (-1, 0, 1)).all()
+    if not valid:
         raise ValueError(f"{name} entries must be -1, 0, or +1")
     return arr.astype(np.int8)
 
@@ -67,18 +78,17 @@ def sum_signs(signs) -> np.ndarray:
 
     The result is exposed as a float64 vector so it can flow through
     :func:`sign` and the update rules unchanged, but the arithmetic is exact
-    integer addition (no rounding for any realistic worker count).
+    int64 addition, so the order in which rows are added cannot change the
+    result (no rounding for any realistic worker count).
     """
     rows = [as_signs(s) for s in signs]
     if not rows:
         raise ValueError("sum_signs needs at least one sign vector")
     dim = rows[0].size
-    total = np.zeros(dim, dtype=np.int64)
     for row in rows:
         if row.size != dim:
             raise ValueError(f"sign vector length mismatch: {row.size} != {dim}")
-        total += row
-    return total.astype(np.float64)
+    return np.stack(rows).sum(axis=0, dtype=np.int64).astype(np.float64)
 
 
 def l1_norm(values) -> float:

@@ -430,6 +430,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise BadMagicError(
                 f"{images_path}: magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
             )
+        if count == 0:
+            raise IdxFormatError(f"{images_path}: header declares 0 images")
         raw = _read_exact(handle, count * rows * cols, images_path, "pixel data")
     features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     features = features.reshape(count, rows * cols) / 255.0

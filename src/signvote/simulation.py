@@ -15,6 +15,8 @@ order in which workers are visited.
 
 from __future__ import annotations
 
+import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -73,6 +75,7 @@ __all__ = [
     "run_experiment",
     "run_sweep",
     "sweep_configs",
+    "write_json",
     "write_metrics_csv",
     "write_summary_json",
 ]
@@ -346,9 +349,27 @@ def write_metrics_csv(record: RunRecord, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def write_summary_json(record: RunRecord, path) -> None:
-    import json
+def _finite_or_none(value):
+    """Copy of a JSON payload with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(item) for item in value]
+    return value
 
+
+def write_json(payload, handle, indent: int | None = None) -> None:
+    """Write ``payload`` and a newline as strict JSON, with keys sorted.
+
+    NaN and infinities have no JSON spelling; they are written as ``null``.
+    """
+    json.dump(_finite_or_none(payload), handle, indent=indent, sort_keys=True, allow_nan=False)
+    handle.write("\n")
+
+
+def write_summary_json(record: RunRecord, path) -> None:
     last = record.metrics[-1]
     payload = {
         "config": config_to_mapping(record.config),
@@ -362,8 +383,7 @@ def write_summary_json(record: RunRecord, path) -> None:
         "wall_time_s": record.wall_time_s,
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        write_json(payload, handle, indent=2)
 
 
 # -- config <-> plain mapping ---------------------------------------------------

@@ -16,6 +16,11 @@ def run_cli(capsys, *argv):
     return code, payload
 
 
+# overrides that turn the quick config into a linear-regression run (no accuracy)
+REGRESSION = {("model", "kind"): "linear-regression", ("model", "num_classes"): None,
+              ("data", "kind"): "linear-regression"}
+
+
 def write_quick_config(tmp_path, overrides=None) -> str:
     body = {
         ("model", "kind"): "logistic-regression",
@@ -37,7 +42,8 @@ def write_quick_config(tmp_path, overrides=None) -> str:
     body.update(overrides or {})
     sections = {}
     for (section, key), value in body.items():
-        sections.setdefault(section, []).append(f"{key} = {value}")
+        if value is not None:  # None drops the key
+            sections.setdefault(section, []).append(f"{key} = {value}")
     text = "\n".join(f"[{name}]\n" + "\n".join(lines) for name, lines in sections.items())
     path = tmp_path / "quick.cfg"
     path.write_text(text + "\n")
@@ -141,6 +147,39 @@ class TestRun:
         code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"))
         assert code == 2
         assert payload["error"] == "dataset-error"
+
+    def test_zero_sample_idx_exit_2(self, tmp_path, capsys):
+        import struct
+
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 0, 3, 3))
+        labels.write_bytes(struct.pack(">II", 0x801, 0))
+        cfg = write_quick_config(tmp_path, {("model", "input_dim"): "9",
+                                            ("data", "source"): "idx",
+                                            ("data", "images"): str(images),
+                                            ("data", "labels"): str(labels)})
+        code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert payload["error"] == "dataset-error"
+        assert "0 images" in payload["message"]
+
+    def test_regression_outputs_are_strict_json(self, tmp_path, capsys):
+        cfg = write_quick_config(tmp_path, REGRESSION)
+        out = tmp_path / "reg"
+        code = main(["run", "--config", cfg, "--out", str(out)])
+        stdout = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        payload = json.loads(stdout, parse_constant=reject)
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert payload["final_accuracy"] is None
+        assert summary["final"]["accuracy"] is None
+        assert summary["final"]["loss"] == payload["final_loss"]
+        # metrics.csv keeps its own spelling of the missing accuracy
+        assert (out / "metrics.csv").read_text().splitlines()[1].split(",")[2] == "nan"
 
     def test_bundled_config_round_trip(self, tmp_path, capsys):
         out = tmp_path / "bundled"
@@ -284,6 +323,15 @@ class TestReport:
         assert code == 0
         assert "skipping" in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
+
+    def test_null_accuracy_reads_as_nan(self, tmp_path, capsys):
+        cfg = write_quick_config(tmp_path, {**REGRESSION, ("run", "rounds"): "10"})
+        run_dir = tmp_path / "reg"
+        assert run_cli(capsys, "run", "--config", cfg, "--out", str(run_dir))[0] == 0
+        out_csv = tmp_path / "reg.csv"
+        code, payload = run_cli(capsys, "report", str(run_dir), "--out", str(out_csv))
+        assert code == 0 and payload["rows"] == 1
+        assert out_csv.read_text().splitlines()[1].split(",")[3] == "nan"
 
     def test_all_malformed_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "broken"

@@ -10,6 +10,7 @@ from signvote.models import (
     BadMagicError,
     Batch,
     CountMismatchError,
+    IdxFormatError,
     Dataset,
     ModelSpec,
     TruncatedIdxError,
@@ -315,6 +316,11 @@ class TestLoadIdx:
     def test_count_mismatch(self, tmp_path):
         paths = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1, 1])
         with pytest.raises(CountMismatchError):
+            load_idx(*paths)
+
+    def test_zero_images_rejected(self, tmp_path):
+        paths = write_idx_pair(tmp_path, np.zeros((0, 3, 3)), [])
+        with pytest.raises(IdxFormatError, match="0 images"):
             load_idx(*paths)
 
 

@@ -1,0 +1,140 @@
+"""Property tests for the sign-message check, the integer sign sum and the vote.
+
+Each property compares the library with a plain reference kept here: the
+``np.isin`` membership check, a per-row int64 loop, and a per-coordinate
+count of +1 and -1 votes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from signvote.core import as_signs, sum_signs
+from signvote.optimizers import server_aggregate_signs
+
+DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int64, np.uint8, np.bool_, np.float64)))
+SIGNED_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int64, np.float64)))
+SIGNS = (-1, 0, 1)
+EDGES = (-128, 127, 2, -2, 255, 2**40, math.nan, math.inf, -math.inf, -0.0)
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def fits(value, dtype: np.dtype) -> bool:
+    """Whether ``value`` converts to ``dtype`` without changing."""
+    if dtype.kind == "f":
+        return True
+    if not math.isfinite(value) or value != int(value):
+        return False
+    if dtype.kind == "b":
+        return value in (0, 1)
+    info = np.iinfo(dtype)
+    return info.min <= value <= info.max
+
+
+def isin_reference(arr: np.ndarray):
+    """The membership check: int8 copy if every entry is -1, 0 or +1, else None."""
+    if not np.isin(arr, SIGNS).all():
+        return None
+    return arr.astype(np.int8)
+
+
+def assert_matches_reference(arr: np.ndarray) -> None:
+    expected = isin_reference(arr)
+    if expected is None:
+        with pytest.raises(ValueError, match="entries must be -1, 0, or \\+1"):
+            as_signs(arr)
+    else:
+        got = as_signs(arr)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, expected)
+
+
+@st.composite
+def candidate_messages(draw):
+    """Mostly-valid 1-D arrays: sign entries plus a few edge or arbitrary values."""
+    dtype = draw(st.sampled_from(DTYPES))
+    values = draw(st.lists(st.sampled_from([v for v in SIGNS if fits(v, dtype)]), max_size=40))
+    edges = [v for v in EDGES if fits(v, dtype)]
+    intruders = draw(st.lists(
+        st.one_of(st.sampled_from(edges), hnp.from_dtype(dtype)),
+        max_size=2,
+    ))
+    for value in intruders:
+        position = draw(st.integers(0, len(values)))
+        values.insert(position, value)
+    return np.array(values, dtype=dtype)
+
+
+class TestAsSignsProperties:
+    @pytest.mark.parametrize(
+        "dtype,edge",
+        [(dtype, edge) for dtype in DTYPES for edge in EDGES if fits(edge, dtype)],
+        ids=lambda value: str(value) if isinstance(value, np.dtype) else repr(value),
+    )
+    def test_every_edge_value_matches_reference(self, dtype, edge):
+        for arr in (np.array([edge], dtype=dtype), np.array([1, 0, edge, 1], dtype=dtype)):
+            assert_matches_reference(arr)
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=str)
+    def test_empty_accepted(self, dtype):
+        got = as_signs(np.array([], dtype=dtype))
+        assert got.dtype == np.int8 and got.shape == (0,)
+
+    @SETTINGS
+    @given(candidate_messages())
+    def test_matches_isin_reference(self, arr):
+        assert_matches_reference(arr)
+
+    @SETTINGS
+    @given(hnp.arrays(st.sampled_from(DTYPES), hnp.array_shapes(min_dims=2, max_dims=2, min_side=0),
+                      elements=st.sampled_from((0, 1))))
+    def test_rejects_two_dimensional(self, arr):
+        with pytest.raises(ValueError, match="must be 1-D"):
+            as_signs(arr)
+
+
+def random_sign_rows(seed: int, workers: int, dim: int, dtype) -> list:
+    rng = np.random.default_rng(seed)
+    return list(rng.integers(-1, 2, size=(workers, dim)).astype(dtype))
+
+
+class TestSumSignsProperties:
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(0, 300),
+           st.sampled_from(SIGNED_DTYPES))
+    def test_equals_per_row_int64_loop(self, seed, workers, dim, dtype):
+        rows = random_sign_rows(seed, workers, dim, dtype)
+        expected = np.zeros(dim, dtype=np.int64)
+        for row in rows:
+            expected += row.astype(np.int64)
+        got = sum_signs(rows)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
+
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 120), st.integers(0, 300), st.data())
+    def test_rejects_rows_of_different_lengths(self, seed, workers, dim, data):
+        rows = random_sign_rows(seed, workers, dim, np.int8)
+        m = data.draw(st.integers(1, workers - 1))
+        other = data.draw(st.integers(0, 301).filter(lambda n: n != dim))
+        rows[m] = np.zeros(other, dtype=np.int8)
+        with pytest.raises(ValueError, match="length mismatch"):
+            sum_signs(rows)
+
+
+class TestMajorityVoteProperties:
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(0, 50))
+    def test_equals_brute_force_count(self, seed, workers, dim):
+        rows = random_sign_rows(seed, workers, dim, np.int8)
+        expected = np.zeros(dim, dtype=np.int8)
+        for j in range(dim):
+            plus = sum(1 for row in rows if row[j] == 1)
+            minus = sum(1 for row in rows if row[j] == -1)
+            expected[j] = 1 if plus > minus else -1 if minus > plus else 0  # tie -> 0
+        np.testing.assert_array_equal(server_aggregate_signs(rows), expected)

@@ -19,6 +19,7 @@ from signvote.simulation import (
     run_experiment,
     run_sweep,
     sweep_configs,
+    write_json,
     write_metrics_csv,
     write_summary_json,
 )
@@ -321,6 +322,14 @@ class TestArtifacts:
         assert int(cells[0]) == 0
         assert float(cells[1]) == record.metrics[0].train_loss  # exact round-trip
 
+    def test_write_json_nulls_non_finite_floats(self):
+        import io
+
+        handle = io.StringIO()
+        write_json({"b": [1.5, math.nan, (math.inf, -math.inf)], "a": {"x": np.float64("nan")},
+                    "c": 2}, handle)
+        assert handle.getvalue() == '{"a": {"x": null}, "b": [1.5, null, [null, null]], "c": 2}\n'
+
     def test_summary_json_echoes_config(self, tmp_path):
         cfg = make_config(rounds=10)
         record = run_experiment(cfg)
@@ -403,3 +412,44 @@ class TestIdxBackedRun:
                               np.array([0, 1, 3, 2], np.uint8))
         with pytest.raises(IdxFormatError, match="label 3 out of range for 3 classes"):
             load_data(idx_config(data))
+
+
+class TestCallStructure:
+    """One check per sign message and one gradient per honest worker and round.
+
+    The counts are the closed forms the benchmark's tracer also checks, so a
+    change that drops per-message work fails here, not only under a trace.
+    """
+
+    def test_per_message_calls_on_byzantine_config(self, monkeypatch):
+        import configparser
+        from pathlib import Path
+
+        import signvote.core
+        import signvote.simulation
+
+        parser = configparser.ConfigParser()
+        parser.read(Path(__file__).resolve().parents[1] / "configs" / "logistic_byzantine.cfg")
+        mapping = {s: dict(parser.items(s)) for s in parser.sections()}
+        mapping["run"]["rounds"] = "10"
+        cfg = config_from_mapping(mapping)
+        counts = {"as_signs": 0, "grad": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # both modules look these names up at call time
+        monkeypatch.setattr(signvote.core, "as_signs", counting("as_signs", signvote.core.as_signs))
+        monkeypatch.setattr(signvote.simulation, "grad", counting("grad", signvote.simulation.grad))
+        run_experiment(cfg)
+
+        rounds, workers = cfg.n_rounds, cfg.n_workers
+        f = byzantine_count(cfg.adversary.alpha, workers)
+        evals = math.ceil(rounds / cfg.eval_every)
+        assert (rounds, workers, f, evals) == (10, 15, 6, 1)
+        # colluders read the honest sum (M - f messages), the server all M
+        assert counts["as_signs"] == rounds * (workers + (workers - f))
+        assert counts["grad"] == rounds * (workers - f) + evals
