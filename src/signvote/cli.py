@@ -3,7 +3,8 @@
 Config files are flat INI with five sections (model, data, optimizer,
 adversary, run); ``--set section.key=value`` overrides individual entries.
 Every failure prints a machine-readable JSON object with an ``error`` kind.
-Exit codes: 0 success, 1 assertion/bound failure, 2 usage or config error.
+Exit codes: 0 success, 1 assertion/bound failure or a diverged run, 2 usage
+or config error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from . import theory
 from .models import IdxFormatError, max_relative_grad_error, sample_batch
 from .simulation import (
+    DivergedError,
     RunRecord,
     config_from_mapping,
     load_data,
@@ -39,9 +41,13 @@ def _emit(payload: dict) -> None:
     write_json(payload, sys.stdout)
 
 
-def _error(kind: str, message: str, code: int = EXIT_USAGE) -> int:
-    _emit({"error": kind, "message": message})
+def _error(kind: str, message: str, code: int = EXIT_USAGE, **fields) -> int:
+    _emit({"error": kind, "message": message, **fields})
     return code
+
+
+def _diverged(exc: DivergedError, **fields) -> int:
+    return _error("diverged", str(exc), EXIT_FAIL, round=exc.round, **fields)
 
 
 def _read_config(path: str, overrides, seed: int | None) -> dict:
@@ -115,7 +121,10 @@ def _cmd_run(args) -> int:
             out = _resolve_out(args, cfg)
         except ValueError as exc:
             return _error("usage", str(exc))
-        record = run_experiment(cfg)
+        try:
+            record = run_experiment(cfg)
+        except DivergedError as exc:
+            return _diverged(exc)
         result = _write_run(record, out)
         _emit({"status": "ok", **result})
         return EXIT_OK
@@ -145,7 +154,10 @@ def _cmd_sweep(args) -> int:
             return _error("usage", str(exc))
         runs = []
         for (name, cfg), run_dir in zip(pairs, run_dirs):
-            record = run_experiment(cfg)
+            try:
+                record = run_experiment(cfg)
+            except DivergedError as exc:
+                return _diverged(exc, run=name)
             runs.append({"name": name, **_write_run(record, run_dir)})
         _emit({"status": "ok", "out": out, "runs": runs})
         return EXIT_OK

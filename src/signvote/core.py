@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "NonFiniteError",
     "RngStream",
     "as_signs",
     "as_vector",
@@ -32,12 +33,16 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
+class NonFiniteError(ValueError):
+    """A vector that must be finite holds NaN or an infinity."""
+
+
 def check_finite(values: np.ndarray, name: str = "vector") -> None:
     """Reject NaN/inf entries, reporting the first offending coordinate."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"{name} has non-finite entry {values[i]!r} at coordinate {i}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteError(f"{name} has non-finite entry {values[i]!r} at coordinate {i}")
 
 
 def as_signs(values, name: str = "sign vector") -> np.ndarray:
@@ -53,7 +58,7 @@ def as_signs(values, name: str = "sign vector") -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.dtype.kind in "biu":
-        valid = arr.size == 0 or (arr.min() >= -1 and arr.max() <= 1)
+        valid = arr.size == 0 or (np.minimum.reduce(arr) >= -1 and np.maximum.reduce(arr) <= 1)
     else:
         valid = np.isin(arr, (-1, 0, 1)).all()
     if not valid:

@@ -18,11 +18,11 @@ valid lower bound on the objective.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import RngStream, as_vector
 
@@ -148,7 +148,7 @@ class Batch:
         indices = np.asarray(self.indices, dtype=np.int64)
         if indices.ndim != 1 or indices.size < 1:
             raise ValueError("batch needs at least one index")
-        if indices.min() < 0:
+        if np.minimum.reduce(indices) < 0:
             raise ValueError("batch indices must be non-negative")
         object.__setattr__(self, "indices", indices)
 
@@ -207,15 +207,19 @@ def _batch_rows(spec: ModelSpec, data: Dataset, batch: Batch):
     if data.input_dim != spec.input_dim:
         raise ValueError(f"dataset input_dim {data.input_dim} != spec input_dim {spec.input_dim}")
     idx = batch.indices
-    if idx.max() >= data.n_samples:
-        raise ValueError(f"batch index {int(idx.max())} out of range for {data.n_samples} samples")
-    return data.features[idx], data.labels[idx]
+    try:
+        # take gathers rows faster than fancy indexing and bounds-checks the same way
+        return data.features.take(idx, axis=0), data.labels[idx]
+    except IndexError:
+        raise ValueError(
+            f"batch index {int(idx.max())} out of range for {data.n_samples} samples"
+        ) from None
 
 
 def _class_labels(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     if labels.dtype.kind != "i":
         raise ValueError(f"{spec.kind} needs integer class labels")
-    if labels.max() >= spec.num_classes:
+    if np.maximum.reduce(labels) >= spec.num_classes:
         raise ValueError(f"label {int(labels.max())} out of range for {spec.num_classes} classes")
     return labels
 
@@ -227,6 +231,31 @@ def _softmax_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.nd
         return hidden @ w2.T + b2
     w, b = _unpack_affine(spec, params)
     return x @ w.T + b
+
+
+def _libm_exp(value: float) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function ``1 / (1 + exp(-z))`` with the C library's ``exp``.
+
+    numpy's float64 ``exp`` is its own vectorised code and can differ from the
+    C library in the last bit.  Its complex128 ``exp`` calls the C library's
+    ``cexp``, whose real part at a zero imaginary part is ``exp`` itself up to
+    an argument of 709; above that, glibc's ``cexp`` rescales in two roundings.
+    So arrays with some ``-z > 709`` (or a NaN) take ``math.exp`` per entry.
+    Either way the result matches ``scipy.special.expit`` bit for bit, which
+    keeps every recorded ``metrics.csv`` hash, and no warning is raised.
+    """
+    neg = np.negative(z)
+    if neg.size and np.maximum.reduce(neg, axis=None) <= 709.0:
+        return 1.0 / (1.0 + np.exp(neg.astype(np.complex128)).real)
+    e = np.array([_libm_exp(v) for v in neg.ravel()], dtype=np.float64)
+    return 1.0 / (1.0 + e.reshape(np.shape(neg)))
 
 
 # -- loss / gradient / accuracy -----------------------------------------------
@@ -285,8 +314,11 @@ def grad(spec: ModelSpec, params, data: Dataset, batch: Batch) -> np.ndarray:
     y = _class_labels(spec, y)
     if spec.kind == "logistic-regression" and spec.num_classes == 2:
         w, b = _unpack_affine(spec, params)
-        dz = (expit(x @ w + b) - y) / n
-        return np.concatenate([x.T @ dz, [dz.sum()]])
+        dz = (_sigmoid(x @ w + b) - y) / n
+        out = np.empty(params.size)
+        np.matmul(x.T, dz, out=out[:-1])
+        out[-1] = np.add.reduce(dz)
+        return out
     logits = _softmax_logits(spec, params, x)
     zmax = logits.max(axis=1, keepdims=True)
     ez = np.exp(logits - zmax)
@@ -381,7 +413,7 @@ def generate_synthetic(rng: RngStream, kind: str, input_dim: int, n_samples: int
         if noise_level > 0:
             labels = labels + noise_level * gen.standard_normal(n_samples)
     else:
-        labels = (gen.random(n_samples) < expit(x @ w)).astype(np.int64)
+        labels = (gen.random(n_samples) < _sigmoid(x @ w)).astype(np.int64)
     return Dataset(x, labels), np.concatenate([w, [0.0]])
 
 

@@ -92,7 +92,11 @@ def worker_message(cfg: OptimizerConfig, momentum: np.ndarray, grad_estimate) ->
         raise ValueError("momentum must be a float64 numpy array")
     if momentum.shape != g.shape:
         raise ValueError(f"gradient length {g.size} != momentum shape {momentum.shape}")
-    momentum[...] = (1.0 - cfg.beta) * g + cfg.beta * momentum
+    # the same bits as (1 - beta) g + beta v, since IEEE addition commutes;
+    # the scaled estimate is taken first in case g shares memory with v
+    scaled = (1.0 - cfg.beta) * g
+    momentum *= cfg.beta
+    momentum += scaled
     if cfg.rule in SIGN_RULES:
         return sign(momentum)
     return g

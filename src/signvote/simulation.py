@@ -32,7 +32,7 @@ from .adversaries import (
     byz_inverse_sum,
     byz_oppose_true_sign,
 )
-from .core import RngStream, sum_signs
+from .core import NonFiniteError, RngStream, sum_signs
 from .models import (
     SYNTHETIC_KINDS,
     Dataset,
@@ -61,6 +61,7 @@ from .optimizers import (
 __all__ = [
     "AdversaryConfig",
     "DATA_STREAM_ID",
+    "DivergedError",
     "INIT_STREAM_ID",
     "ExperimentConfig",
     "IdxData",
@@ -194,6 +195,16 @@ class RoundMetrics:
     zero_fraction: float
 
 
+class DivergedError(ArithmeticError):
+    """The run left the finite numbers: a parameter, a loss or a worker's
+    estimate became NaN or infinite.  ``round`` is the 1-based round in which
+    it was seen (the ``step`` its evaluation row would have had)."""
+
+    def __init__(self, round_number: int):
+        super().__init__(f"non-finite parameters, loss or gradient in round {round_number}")
+        self.round = round_number
+
+
 @dataclass
 class RunRecord:
     config: ExperimentConfig
@@ -234,6 +245,10 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
     Rounds run sequentially, worker by worker; worker m's momentum is row m
     of one zero-initialized (workers x params) array.  ``parallel`` is
     accepted and has no effect; it stays for existing callers that pass it.
+
+    Raises :class:`DivergedError` when the parameters after an update, an
+    evaluated loss, or any vector the round must sign or measure stops being
+    finite.  A finite but huge loss is not treated as divergence.
     """
     t_start = time.perf_counter()
     data = load_data(cfg)
@@ -253,8 +268,11 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
     whole = full_batch(data)
 
     def evaluate(step: int, eta: float, agreement: float, zero_frac: float) -> RoundMetrics:
+        value = loss(spec, x, data, whole)
+        if not math.isfinite(value):
+            raise DivergedError(step)
         acc = accuracy(spec, x, data) if spec.is_classification else float("nan")
-        return RoundMetrics(step, loss(spec, x, data, whole), acc, eta, agreement, zero_frac)
+        return RoundMetrics(step, value, acc, eta, agreement, zero_frac)
 
     metrics = [evaluate(0, effective_eta(opt, 0), float("nan"), float("nan"))]
     for t in range(cfg.n_rounds):
@@ -263,29 +281,34 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
         if eval_now or strategy == "byz-oppose-true-sign":
             true_grad = grad(spec, x, data, whole)
 
-        messages = []
-        for m in phase_one:
-            batch = sample_batch(streams[m], data.n_samples, opt.batch_size)
-            g = grad(spec, x, data, batch)
-            if strategy == "blind-invert" and m < f:
-                g = blind_invert(g)
-            messages.append(worker_message(opt, momentum[m], g))
+        try:
+            messages = []
+            for m in phase_one:
+                batch = sample_batch(streams[m], data.n_samples, opt.batch_size)
+                g = grad(spec, x, data, batch)
+                if strategy == "blind-invert" and m < f:
+                    g = blind_invert(g)
+                messages.append(worker_message(opt, momentum[m], g))
 
-        if strategy == "byz-inverse-sum":
-            messages += byz_inverse_sum(messages, f, dim=dim)
-        elif strategy == "byz-oppose-true-sign":
-            messages += byz_oppose_true_sign(true_grad, f)
-        elif strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
-            honest_sum = sum_signs(messages) if messages else np.zeros(dim)
-            variant = "zeroing" if strategy == "byz-collude-zeroing" else "alternating"
-            byz_messages, _ = byz_collude_signs(honest_sum, f, variant)
-            messages += byz_messages
+            if strategy == "byz-inverse-sum":
+                messages += byz_inverse_sum(messages, f, dim=dim)
+            elif strategy == "byz-oppose-true-sign":
+                messages += byz_oppose_true_sign(true_grad, f)
+            elif strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
+                honest_sum = sum_signs(messages) if messages else np.zeros(dim)
+                variant = "zeroing" if strategy == "byz-collude-zeroing" else "alternating"
+                byz_messages, _ = byz_collude_signs(honest_sum, f, variant)
+                messages += byz_messages
 
-        if sign_rule:
-            direction = server_aggregate_signs(messages)
-        else:
-            direction = server_aggregate_sgd(messages)
+            if sign_rule:
+                direction = server_aggregate_signs(messages)
+            else:
+                direction = server_aggregate_sgd(messages)
+        except NonFiniteError as exc:
+            raise DivergedError(t + 1) from exc
         x = apply_update(opt, x, direction, t)
+        if not np.isfinite(x).all():
+            raise DivergedError(t + 1)
 
         if eval_now:
             dense = np.asarray(direction, dtype=np.float64)

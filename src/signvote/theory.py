@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .core import RngStream, as_vector, l1_norm, sign
 from .models import Dataset, ModelSpec, full_batch, grad, sample_batch
@@ -190,15 +189,18 @@ def _binomial_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p >= 1.0:
         return 0.0
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     ks = np.arange(0, k + 1)
     log_pmf = (
-        gammaln(n + 1)
-        - gammaln(ks + 1)
-        - gammaln(n - ks + 1)
+        log_factorial[n]
+        - log_factorial[ks]
+        - log_factorial[n - ks]
         + ks * math.log(p)
         + (n - ks) * math.log1p(-p)
     )
-    return float(min(1.0, math.exp(logsumexp(log_pmf))))
+    top = float(log_pmf.max())
+    log_total = top + math.log(float(np.exp(log_pmf - top).sum()))
+    return min(1.0, math.exp(log_total))
 
 
 def _check_vote_args(n_workers: int, alpha: float, p: float) -> None:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -341,9 +344,74 @@ class TestReport:
         assert payload["error"] == "no-valid-runs"
 
 
+# bounds_summary.json of the default grid, and its only non-passing rows, as
+# written while the exact tail still came from scipy.special
+DEFAULT_GRID_SUMMARY = """{
+  "all_pass": true,
+  "failed": 0,
+  "inadmissible": 8,
+  "passed": 86,
+  "total": 94,
+  "violations": []
+}
+"""
+DEFAULT_GRID_INADMISSIBLE = {f"M={m} p=0.6 alpha={a}" for m in (11, 51, 101, 501) for a in (0.2, 0.3)}
+
+
 class TestVerifyBoundsDefaultGrid:
     def test_default_grid_exit_zero(self, tmp_path, capsys):
         code, payload = run_cli(capsys, "verify-bounds", "--out", str(tmp_path / "b"))
         assert code == 0
         assert payload["failed"] == 0
         assert payload["passed"] > 80
+
+    def test_default_grid_statuses_and_summary_as_recorded(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run_cli(capsys, "verify-bounds", "--out", str(out))[0] == 0
+        assert (out / "bounds_summary.json").read_text() == DEFAULT_GRID_SUMMARY
+        rows = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 94
+        for row in rows:
+            expected = "inadmissible" if row[1] in DEFAULT_GRID_INADMISSIBLE else "pass"
+            assert row[-1] == expected, row
+
+
+class TestImportPath:
+    def test_no_scipy_module_loaded(self):
+        """scipy is a test-only dependency: importing the package must not load it."""
+        code = ("import sys, signvote, signvote.cli, signvote.theory; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+class TestDiverged:
+    def test_run_reports_round_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, payload = run_cli(capsys, "run", "--config", BLIND_CONFIG, "--out", str(out),
+                                "--set", "optimizer.eta=1e308", "--set", "run.rounds=20")
+        assert code == 1
+        assert payload["error"] == "diverged"
+        assert payload["round"] == 2
+        assert not (out / "metrics.csv").exists()
+
+    def test_sweep_names_the_run(self, tmp_path, capsys):
+        code, payload = run_cli(capsys, "sweep", "--config", BLIND_CONFIG,
+                                "--out", str(tmp_path / "sweep"), "--alphas", "0,0.2",
+                                "--rules", "signsgd", "--set", "optimizer.eta=1e308",
+                                "--set", "run.rounds=20")
+        assert code == 1
+        assert payload == {"error": "diverged", "message": payload["message"], "round": 2,
+                           "run": "signsgd-alpha0"}
+
+    def test_huge_finite_loss_still_ok(self, tmp_path, capsys):
+        code, payload = run_cli(capsys, "run", "--config", BLIND_CONFIG,
+                                "--out", str(tmp_path / "run"),
+                                "--set", "optimizer.eta=1e300", "--set", "run.rounds=20")
+        assert code == 0
+        assert payload["status"] == "ok"
+        assert 1e299 < payload["final_loss"] < float("inf")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from signvote.core import (
+    NonFiniteError,
     RngStream,
     as_signs,
     l1_norm,
@@ -37,7 +38,8 @@ class TestSign:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_reports_coordinate(self, bad):
-        with pytest.raises(ValueError, match="coordinate 2"):
+        assert issubclass(NonFiniteError, ValueError)
+        with pytest.raises(NonFiniteError, match="coordinate 2"):
             sign([1.0, 2.0, bad, 4.0])
 
     def test_rejects_matrix(self):

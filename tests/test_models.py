@@ -1,8 +1,12 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from signvote.core import RngStream
@@ -21,6 +25,7 @@ from signvote.models import (
     grad,
     load_idx,
     loss,
+    _sigmoid,
     max_relative_grad_error,
     sample_batch,
 )
@@ -132,6 +137,72 @@ class TestLoss:
         data = Dataset(np.zeros((2, 4)), np.array([0, 5]))
         with pytest.raises(ValueError, match="out of range"):
             loss(LOGISTIC, np.zeros(LOGISTIC.param_dim), data, full_batch(data))
+
+    @pytest.mark.parametrize("spec", [LINEAR, LOGISTIC, MLP], ids=str)
+    def test_out_of_range_batch_index_rejected(self, spec):
+        data = small_dataset(spec)
+        batch = Batch(np.array([0, data.n_samples, 3]))
+        for fn in (loss, grad):
+            with pytest.raises(ValueError, match="batch index 12 out of range for 12 samples"):
+                fn(spec, np.zeros(spec.param_dim), data, batch)
+
+
+# -- sigmoid -----------------------------------------------------------------------
+
+# both sides of exp's overflow (709.78) and underflow (745.13), and the
+# arguments above 709 where glibc's complex exp rescales in two roundings
+SIGMOID_EDGES = [0.0, -0.0, 1.0, -1.0, 36.7, -36.7, 709.0, -709.0, 709.09, -709.09, 709.1,
+                 -709.1, 709.78, -709.78, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0,
+                 1e308, -1e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+
+SIGMOID_INPUTS = hnp.arrays(
+    np.float64, st.integers(0, 40),
+    elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SIGMOID_EDGES)
+    | st.floats(-709.9, -708.9),
+)
+
+
+def assert_same_bits(actual, expected):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+class TestSigmoid:
+    """``_sigmoid`` is the scipy-free stand-in for ``scipy.special.expit``; the
+    recorded metrics.csv hashes rest on the two agreeing to the last bit."""
+
+    def test_matches_expit_on_edges(self):
+        edges = np.array(SIGMOID_EDGES)
+        band = -np.linspace(708.9, 709.9, 20001)
+        for z in [edges, band, -band, *(edges[i:i + 1] for i in range(edges.size))]:
+            assert_same_bits(_sigmoid(z), expit(z))
+
+    def test_matches_expit_on_samples(self):
+        rng = np.random.default_rng(3)
+        for scale in (1.0, 10.0, 300.0):
+            z = scale * rng.standard_normal(20_000)
+            assert_same_bits(_sigmoid(z), expit(z))
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIGMOID_INPUTS)
+    def test_matches_expit_bit_for_bit(self, z):
+        assert_same_bits(_sigmoid(z), expit(z))
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIGMOID_INPUTS)
+    def test_emits_no_warning(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _sigmoid(z)
+
+    def test_keeps_shape(self):
+        z = np.array([[0.0, 800.0], [-800.0, math.nan]])
+        out = _sigmoid(z)
+        assert out.shape == (2, 2)
+        assert_same_bits(out, expit(z))
+        assert _sigmoid(np.array([])).shape == (0,)
 
 
 # -- gradients ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Property tests for the sign-message check, the integer sign sum and the vote.
+"""Property tests for the sign-message check, the integer sign sum, the vote
+and the momentum update.
 
 Each property compares the library with a plain reference kept here: the
-``np.isin`` membership check, a per-row int64 loop, and a per-coordinate
-count of +1 and -1 votes.
+``np.isin`` membership check, a per-row int64 loop, a per-coordinate count of
++1 and -1 votes, and the textbook momentum expression.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from signvote.core import as_signs, sum_signs
-from signvote.optimizers import server_aggregate_signs
+from signvote.optimizers import OptimizerConfig, server_aggregate_signs, worker_message
 
 DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int64, np.uint8, np.bool_, np.float64)))
 SIGNED_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int64, np.float64)))
@@ -138,3 +139,23 @@ class TestMajorityVoteProperties:
             minus = sum(1 for row in rows if row[j] == -1)
             expected[j] = 1 if plus > minus else -1 if minus > plus else 0  # tie -> 0
         np.testing.assert_array_equal(server_aggregate_signs(rows), expected)
+
+
+class TestWorkerMessageProperties:
+    @SETTINGS
+    @given(st.data(), st.integers(0, 60), st.floats(0.0, 1.0, exclude_max=True),
+           st.sampled_from(("signum", "dist-sgd")))
+    def test_momentum_matches_textbook_expression(self, data, dim, beta, rule):
+        """The in-place update gives the bits of ``(1 - beta) g + beta v``."""
+        floats = hnp.arrays(np.float64, dim, elements=st.floats(allow_nan=True, allow_infinity=True))
+        momentum, g = data.draw(floats), data.draw(floats)
+        with np.errstate(all="ignore"):
+            expected = (1.0 - beta) * g + beta * momentum
+            try:
+                worker_message(OptimizerConfig(rule, eta=0.1, beta=beta), momentum, g)
+            except ValueError:  # a sign rule refuses a non-finite momentum, after updating it
+                assert rule == "signum" and not np.isfinite(expected).all()
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(momentum), nan)
+        np.testing.assert_array_equal(momentum[~nan].view(np.uint64),
+                                      expected[~nan].view(np.uint64))

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from signvote.core import RngStream
+from signvote.core import NonFiniteError, RngStream
 from signvote.models import ModelSpec
 from signvote.optimizers import OptimizerConfig, Schedule
 from signvote.simulation import (
     AdversaryConfig,
+    DivergedError,
     ExperimentConfig,
     SyntheticData,
     byzantine_count,
@@ -138,6 +139,34 @@ class TestAgainstNaiveReference:
         final_ref = float(np.mean((x_mat @ w + b - y) ** 2))
         initial = float(np.mean(y**2))
         assert final_ref < 1e-3 * initial
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+class TestDivergence:
+    """Each way a run can leave the finite numbers ends in DivergedError(round)."""
+
+    def test_worker_sign_of_nan(self):
+        with pytest.raises(DivergedError) as caught:
+            run_experiment(make_config(eta=1e308))
+        assert caught.value.round == 2
+        assert isinstance(caught.value.__cause__, NonFiniteError)
+
+    def test_non_finite_parameters_after_update(self):
+        # round 2 is not an evaluation round, so only the parameter check sees it
+        with pytest.raises(DivergedError) as caught:
+            run_experiment(make_config(rule="dist-sgd", eta=1e200, kind="linear-regression"))
+        assert caught.value.round == 2
+        assert caught.value.__cause__ is None
+
+    def test_non_finite_loss_at_evaluation(self):
+        # the parameters stay finite; their logits overflow in the round-10 loss
+        with pytest.raises(DivergedError) as caught:
+            run_experiment(make_config(rule="dist-sgd", eta=1e308))
+        assert caught.value.round == 10
+
+    def test_huge_finite_loss_is_not_divergence(self):
+        record = run_experiment(make_config(eta=1e300, rounds=20))
+        assert 1e299 < record.metrics[-1].train_loss < math.inf
 
 
 class TestInverseSumAttack:

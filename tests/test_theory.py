@@ -8,6 +8,9 @@ from signvote.core import RngStream
 from signvote.models import ModelSpec, generate_synthetic, grad
 from signvote.theory import (
     BERNOULLI_SUCCESS,
+    DEFAULT_VOTE_ALPHA,
+    DEFAULT_VOTE_P,
+    DEFAULT_VOTE_WORKERS,
     BoundInputs,
     NoiseModel,
     SYMMETRIC_BREAKPOINT,
@@ -135,6 +138,14 @@ class TestVoteFailure:
             k = int(rng.integers(0, n + 1))
             p = float(rng.uniform(0.01, 0.99))
             assert _binomial_cdf(k, n, p) == pytest.approx(binom.cdf(k, n, p), abs=1e-11)
+        # every tail verify-bounds evaluates on its default grid, down to 1e-270
+        for n_workers in DEFAULT_VOTE_WORKERS:
+            for p in DEFAULT_VOTE_P:
+                for alpha in DEFAULT_VOTE_ALPHA:
+                    healthy = int(np.floor((1.0 - alpha) * n_workers + 0.5))
+                    k = n_workers // 2
+                    assert _binomial_cdf(k, healthy, p) == pytest.approx(
+                        binom.cdf(k, healthy, p), rel=1e-12), (n_workers, p, alpha)
 
     def test_stable_at_ten_thousand_workers(self):
         value = vote_failure_exact(10_000, 0.0, 0.6)
