@@ -4,8 +4,9 @@ Rounds are two-phase: honest (and blind) workers commit their messages first,
 omniscient adversaries observe them and answer.  Blind adversaries see
 nothing, so all they can do is flip their own gradient estimate before it
 enters their local momentum/sign pipeline.  Omniscient ones get the honest
-messages (or the true gradient) handed to them and reply in kind: dense
-vectors against mean aggregation, sign votes against the majority vote.
+messages (or the true gradient) handed to them and reply in kind with one
+(f, d) block, a row per adversary: dense vectors against mean aggregation,
+int8 sign votes against the majority vote.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "byz_collude_signs",
     "byz_inverse_sum",
     "byz_oppose_true_sign",
+    "byzantine_count",
 ]
 
 STRATEGIES = (
@@ -40,6 +42,13 @@ SIGN_ONLY_STRATEGIES = ("byz-collude-zeroing", "byz-collude-alternating", "byz-o
 SGD_ONLY_STRATEGIES = ("byz-inverse-sum",)
 
 COLLUDE_VARIANTS = ("zeroing", "alternating")
+
+
+def byzantine_count(alpha: float, n_workers: int) -> int:
+    """Adversarial worker count f = round(alpha * M), half rounding away from zero."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1)")
+    return int(np.floor(alpha * n_workers + 0.5))
 
 
 def blind_invert(grad_estimate) -> np.ndarray:
@@ -75,7 +84,7 @@ def byz_collude_signs(honest_sign_sum, f: int, variant: str = "zeroing"):
       unlike ``zeroing``.
     * ``s == 0`` (both variants): alternate -1, +1, ... starting with -1.
 
-    Returns ``(messages, summed)``: the f individual sign vectors plus their
+    Returns ``(votes, summed)``: the (f, d) int8 votes plus their
     coordinate-wise sum, the single dense message a designated adversary can
     send on behalf of the whole group to save f - 1 transmissions.
     """
@@ -97,43 +106,37 @@ def byz_collude_signs(honest_sign_sum, f: int, variant: str = "zeroing"):
     votes = np.where(k < cancel, -base, alternation)
     votes = np.where((abs_s > f)[None, :], -sg[None, :], votes).astype(np.int8)
     summed = votes.sum(axis=0, dtype=np.int64).astype(np.float64)
-    return [votes[j].copy() for j in range(f)], summed
+    return votes, summed
 
 
-def byz_inverse_sum(honest_grads, f: int, dim: int | None = None) -> list[np.ndarray]:
+def byz_inverse_sum(honest, f: int) -> np.ndarray:
     """Gradient-cancelling attack on mean aggregation.
 
-    The first adversary sends the negated left-to-right sum of the observed
-    honest gradients; the remaining f - 1 send zero vectors.  The server sums
-    messages in the same order with honest ones first, so the mean over all
-    workers is the exact zero vector, bit for bit, and the round's update is
-    a no-op (weight decay aside).
-
-    ``dim`` is only needed when there are no honest gradients to infer it from.
+    Takes the (H, d) block of observed honest gradients (H may be 0) and
+    returns an (f, d) block: the negated left-to-right sum of the honest
+    rows, then f - 1 zero rows.  The server sums messages in the same order
+    with honest ones first, so the mean over all workers is the exact zero
+    vector, bit for bit, and the round's update is a no-op (weight decay aside).
     """
     if f < 1:
         raise ValueError("inverse-sum attack needs f >= 1 adversaries")
-    honest = [as_vector(g, "honest gradient") for g in honest_grads]
-    if honest:
-        attack = -sequential_sum(honest)
-        dim = attack.size
-    else:
-        if dim is None:
-            raise ValueError("dim is required when there are no honest gradients")
-        attack = np.zeros(dim, dtype=np.float64)
-    return [attack] + [np.zeros(dim, dtype=np.float64) for _ in range(f - 1)]
+    block = np.asarray(honest, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError(f"honest gradients must be an (H, d) array, got shape {block.shape}")
+    attack = np.zeros((f, block.shape[1]))
+    attack[0] = -sequential_sum(block) if len(block) else 0.0
+    return attack
 
 
-def byz_oppose_true_sign(true_grad, f: int) -> list[np.ndarray]:
+def byz_oppose_true_sign(true_grad, f: int) -> np.ndarray:
     """Every adversary votes the exact opposite of the true gradient's sign.
 
     This is the worst case against the majority vote: it wastes no votes on
     coordinates the honest workers already get wrong, so only healthy workers
-    can still deliver the true sign.
+    can still deliver the true sign.  Returns the (f, d) int8 block of votes.
     """
     if f < 1:
         raise ValueError("oppose-true-sign needs f >= 1 adversaries")
     g = as_vector(true_grad, "true gradient")
     check_finite(g, "true gradient")
-    opposed = (-sign(g)).astype(np.int8)
-    return [opposed.copy() for _ in range(f)]
+    return np.repeat(-sign(g)[None, :], f, axis=0)

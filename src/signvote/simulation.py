@@ -31,6 +31,7 @@ from .adversaries import (
     byz_collude_signs,
     byz_inverse_sum,
     byz_oppose_true_sign,
+    byzantine_count,
 )
 from .core import NonFiniteError, RngStream, sum_signs
 from .models import (
@@ -84,13 +85,6 @@ __all__ = [
 # reserved stream ids, far above any worker index
 DATA_STREAM_ID = 2**32
 INIT_STREAM_ID = 2**32 + 1
-
-
-def byzantine_count(alpha: float, n_workers: int) -> int:
-    """Adversarial worker count f = round(alpha * M), half rounding away from zero."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    return int(np.floor(alpha * n_workers + 0.5))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -243,12 +237,15 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
     """Execute the configured run and collect metrics every ``eval_every`` steps.
 
     Rounds run sequentially, worker by worker; worker m's momentum is row m
-    of one zero-initialized (workers x params) array.  ``parallel`` is
-    accepted and has no effect; it stays for existing callers that pass it.
+    of one zero-initialized (workers x params) array.  The messages are one
+    more such array (int8 for sign rules): phase-one workers fill its first
+    rows in worker order, omniscient adversaries the last f.  ``parallel``
+    is accepted and has no effect; it stays for existing callers that pass it.
 
     Raises :class:`DivergedError` when the parameters after an update, an
     evaluated loss, or any vector the round must sign or measure stops being
-    finite.  A finite but huge loss is not treated as divergence.
+    finite; the overflow on the way there raises no numpy warning.  A finite
+    but huge loss is not treated as divergence.
     """
     t_start = time.perf_counter()
     data = load_data(cfg)
@@ -265,6 +262,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
     # phase-one workers: everyone for none/blind (blind workers see nothing and
     # flip only their own estimate); only the honest tail for omniscient attacks
     phase_one = range(n_workers) if strategy in ("none", "blind-invert") else range(f, n_workers)
+    n_honest = len(phase_one)
+    messages = np.empty((n_workers, dim), dtype=np.int8 if sign_rule else np.float64)
     whole = full_batch(data)
 
     def evaluate(step: int, eta: float, agreement: float, zero_frac: float) -> RoundMetrics:
@@ -274,47 +273,46 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
         acc = accuracy(spec, x, data) if spec.is_classification else float("nan")
         return RoundMetrics(step, value, acc, eta, agreement, zero_frac)
 
-    metrics = [evaluate(0, effective_eta(opt, 0), float("nan"), float("nan"))]
-    for t in range(cfg.n_rounds):
-        eval_now = (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.n_rounds
-        true_grad = None
-        if eval_now or strategy == "byz-oppose-true-sign":
-            true_grad = grad(spec, x, data, whole)
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = [evaluate(0, effective_eta(opt, 0), float("nan"), float("nan"))]
+        for t in range(cfg.n_rounds):
+            eval_now = (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.n_rounds
+            true_grad = None
+            if eval_now or strategy == "byz-oppose-true-sign":
+                true_grad = grad(spec, x, data, whole)
 
-        try:
-            messages = []
-            for m in phase_one:
-                batch = sample_batch(streams[m], data.n_samples, opt.batch_size)
-                g = grad(spec, x, data, batch)
-                if strategy == "blind-invert" and m < f:
-                    g = blind_invert(g)
-                messages.append(worker_message(opt, momentum[m], g))
+            try:
+                for row, m in enumerate(phase_one):
+                    batch = sample_batch(streams[m], data.n_samples, opt.batch_size)
+                    g = grad(spec, x, data, batch)
+                    if strategy == "blind-invert" and m < f:
+                        g = blind_invert(g)
+                    messages[row] = worker_message(opt, momentum[m], g)
 
-            if strategy == "byz-inverse-sum":
-                messages += byz_inverse_sum(messages, f, dim=dim)
-            elif strategy == "byz-oppose-true-sign":
-                messages += byz_oppose_true_sign(true_grad, f)
-            elif strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
-                honest_sum = sum_signs(messages) if messages else np.zeros(dim)
-                variant = "zeroing" if strategy == "byz-collude-zeroing" else "alternating"
-                byz_messages, _ = byz_collude_signs(honest_sum, f, variant)
-                messages += byz_messages
+                if strategy == "byz-inverse-sum":
+                    messages[n_honest:] = byz_inverse_sum(messages[:n_honest], f)
+                elif strategy == "byz-oppose-true-sign":
+                    messages[n_honest:] = byz_oppose_true_sign(true_grad, f)
+                elif strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
+                    honest_sum = sum_signs(messages[:n_honest]) if n_honest else np.zeros(dim)
+                    variant = "zeroing" if strategy == "byz-collude-zeroing" else "alternating"
+                    messages[n_honest:] = byz_collude_signs(honest_sum, f, variant)[0]
 
-            if sign_rule:
-                direction = server_aggregate_signs(messages)
-            else:
-                direction = server_aggregate_sgd(messages)
-        except NonFiniteError as exc:
-            raise DivergedError(t + 1) from exc
-        x = apply_update(opt, x, direction, t)
-        if not np.isfinite(x).all():
-            raise DivergedError(t + 1)
+                if sign_rule:
+                    direction = server_aggregate_signs(messages)
+                else:
+                    direction = server_aggregate_sgd(messages)
+            except NonFiniteError as exc:
+                raise DivergedError(t + 1) from exc
+            x = apply_update(opt, x, direction, t)
+            if not np.isfinite(x).all():
+                raise DivergedError(t + 1)
 
-        if eval_now:
-            dense = np.asarray(direction, dtype=np.float64)
-            agreement = float(np.mean(np.sign(dense) == np.sign(true_grad)))
-            zero_frac = float(np.mean(dense == 0.0))
-            metrics.append(evaluate(t + 1, effective_eta(opt, t), agreement, zero_frac))
+            if eval_now:
+                dense = np.asarray(direction, dtype=np.float64)
+                agreement = float(np.mean(np.sign(dense) == np.sign(true_grad)))
+                zero_frac = float(np.mean(dense == 0.0))
+                metrics.append(evaluate(t + 1, effective_eta(opt, t), agreement, zero_frac))
 
     return RunRecord(cfg, metrics, x, time.perf_counter() - t_start)
 

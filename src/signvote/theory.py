@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adversaries import byzantine_count
 from .core import RngStream, as_vector, l1_norm, sign
 from .models import Dataset, ModelSpec, full_batch, grad, sample_batch
 
@@ -59,8 +60,7 @@ class BoundInputs:
     ``sigma`` and ``smoothness`` are the per-coordinate noise scales and
     smoothness constants; their l1 norms enter the bounds.  ``p`` is the
     per-worker probability that a stochastic gradient coordinate carries the
-    true sign.  ``snr`` optionally records the signal-to-noise ratio used in
-    coordinate-level checks; the rate formulas do not consume it.
+    true sign.
     """
 
     sigma: np.ndarray
@@ -71,7 +71,6 @@ class BoundInputs:
     n_workers: int
     alpha: float
     n_rounds: int
-    snr: float | None = None
 
     def __post_init__(self):
         sigma = as_vector(self.sigma, "sigma")
@@ -215,13 +214,13 @@ def _check_vote_args(n_workers: int, alpha: float, p: float) -> None:
 def vote_failure_exact(n_workers: int, alpha: float, p: float) -> float:
     """Exact tail P(correct healthy votes <= M/2) under the binomial model.
 
-    The healthy vote count is Binomial((1-alpha) M, p); (1-alpha) M is rounded
-    to the nearest integer and the threshold M/2 is inclusive.  Against
-    adversaries that oppose the true sign outright, this upper-bounds the
-    probability that the majority vote misses the true sign in a round.
+    The healthy vote count is Binomial(M - f, p) with the simulator's
+    f = byzantine_count(alpha, M), and the threshold M/2 is inclusive.
+    Against adversaries that oppose the true sign outright, this upper-bounds
+    the probability that the majority vote misses the true sign in a round.
     """
     _check_vote_args(n_workers, alpha, p)
-    healthy = int(np.floor((1.0 - alpha) * n_workers + 0.5))
+    healthy = n_workers - byzantine_count(alpha, n_workers)
     return _binomial_cdf(n_workers // 2, healthy, p)
 
 

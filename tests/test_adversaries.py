@@ -60,7 +60,9 @@ class TestColludeSigns:
         s = np.arange(-6, 7)
         for variant in ("zeroing", "alternating"):
             msgs, summed = byz_collude_signs(s, 5, variant)
-            assert len(msgs) == 5
+            assert isinstance(msgs, np.ndarray)
+            assert msgs.shape == (5, s.size) and msgs.dtype == np.int8
+            assert summed.shape == (s.size,) and summed.dtype == np.float64
             for m in msgs:
                 assert m.dtype == np.int8
                 assert set(np.unique(m)) <= {-1, 0, 1}
@@ -103,26 +105,30 @@ class TestColludeSigns:
 
 class TestInverseSum:
     def test_hand_example(self):
-        msgs = byz_inverse_sum([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 1)
-        assert len(msgs) == 1
+        msgs = byz_inverse_sum(np.array([[1.0, 2.0], [3.0, 4.0]]), 1)
+        assert msgs.shape == (1, 2) and msgs.dtype == np.float64
         np.testing.assert_array_equal(msgs[0], [-4.0, -6.0])
         mean = (msgs[0] + np.array([1.0, 2.0]) + np.array([3.0, 4.0])) / 3
         np.testing.assert_array_equal(mean, [0.0, 0.0])
 
     def test_extra_adversaries_send_zeros(self):
-        msgs = byz_inverse_sum([np.ones(3)], 3)
-        assert len(msgs) == 3
+        msgs = byz_inverse_sum(np.ones((1, 3)), 3)
+        assert msgs.shape == (3, 3) and msgs.dtype == np.float64
         np.testing.assert_array_equal(msgs[1], np.zeros(3))
         np.testing.assert_array_equal(msgs[2], np.zeros(3))
 
     def test_no_honest_workers_all_zero(self):
-        msgs = byz_inverse_sum([], 2, dim=4)
+        # the width comes from the (0, d) block itself
+        msgs = byz_inverse_sum(np.zeros((0, 4)), 2)
+        assert msgs.shape == (2, 4) and msgs.dtype == np.float64
         for m in msgs:
             np.testing.assert_array_equal(m, np.zeros(4))
 
-    def test_no_honest_workers_needs_dim(self):
-        with pytest.raises(ValueError, match="dim"):
-            byz_inverse_sum([], 2)
+    def test_one_dimensional_input_rejected(self):
+        # an empty list or a single vector has no row axis to read the width from
+        for honest in ([], np.ones(3)):
+            with pytest.raises(ValueError, match=r"\(H, d\) array"):
+                byz_inverse_sum(honest, 2)
 
     def test_exact_cancellation_with_float_noise(self):
         from signvote.optimizers import server_aggregate_sgd
@@ -130,20 +136,21 @@ class TestInverseSum:
         rng = np.random.default_rng(3)
         for trial in range(20):
             honest = [rng.standard_normal(10) * 10.0**rng.integers(-3, 4) for _ in range(5)]
-            byz = byz_inverse_sum(honest, 2)
-            mean = server_aggregate_sgd(honest + byz)
+            byz = byz_inverse_sum(np.vstack(honest), 2)
+            mean = server_aggregate_sgd(np.vstack(honest + [byz]))
             assert np.all(mean == 0.0), trial
 
 
 class TestOpposeTrueSign:
     def test_copies_of_negated_sign(self):
         msgs = byz_oppose_true_sign([1.0, -1.0], 3)
-        assert len(msgs) == 3
+        assert msgs.shape == (3, 2) and msgs.dtype == np.int8
         for m in msgs:
             np.testing.assert_array_equal(m, [-1, 1])
 
     def test_zero_gradient_sends_zeros(self):
         msgs = byz_oppose_true_sign(np.zeros(3), 2)
+        assert msgs.shape == (2, 3) and msgs.dtype == np.int8
         for m in msgs:
             np.testing.assert_array_equal(m, np.zeros(3, dtype=np.int8))
 
@@ -153,7 +160,7 @@ class TestOpposeTrueSign:
         true_grad = np.array([0.5, -2.0, 0.0])
         honest = [sign(true_grad)] * 2  # noiseless honest workers
         byz = byz_oppose_true_sign(true_grad, 3)
-        out = server_aggregate_signs(honest + byz)
+        out = server_aggregate_signs(np.vstack(honest + [byz]))
         np.testing.assert_array_equal(out, -sign(true_grad))
 
     def test_f_zero_rejected(self):

@@ -381,15 +381,30 @@ class TestImportPath:
         """scipy is a test-only dependency: importing the package must not load it."""
         code = ("import sys, signvote, signvote.cli, signvote.theory; "
                 "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120, check=True)
+                              env=source_env(), timeout=120, check=True)
         assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def source_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 class TestDiverged:
+    def test_stderr_stays_empty(self, tmp_path, capfd):
+        """The overflow on the way to divergence is not reported as numpy warnings."""
+        done = subprocess.run([sys.executable, "-m", "signvote.cli", "run", "--config",
+                               BLIND_CONFIG, "--out", str(tmp_path / "run"),
+                               "--set", "optimizer.eta=1e308", "--set", "run.rounds=20"],
+                              env=source_env(), timeout=120)
+        out, err = capfd.readouterr()
+        assert done.returncode == 1
+        assert json.loads(out) == {"error": "diverged", "round": 2, "message":
+                                   "non-finite parameters, loss or gradient in round 2"}
+        assert err == ""
+
     def test_run_reports_round_exit_1(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, payload = run_cli(capsys, "run", "--config", BLIND_CONFIG, "--out", str(out),

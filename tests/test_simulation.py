@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +57,79 @@ def same_metrics(a, b):
             if fa != fb and not (math.isnan(fa) and math.isnan(fb)):
                 return False
     return True
+
+
+# metrics.csv sha256 of every strategy with each rule it allows, recorded before the
+# engine kept its messages in one (workers, params) array; (7, 0.3) has f = 2
+# adversaries, (1, 0.6) has one adversary and no honest worker
+STRATEGY_RULE_ANCHORS = {
+    (7, 0.3, "none", "dist-sgd"):
+        "82df3cbbefb968d226c203cc69bf925ae3f2b329f5a33d3eed0052b8ed412d98",
+    (7, 0.3, "none", "signsgd"):
+        "90d50ba82ad14d2c00d7fe748e82524face9cf0f02fa63946f9d04a31816ce4b",
+    (7, 0.3, "none", "signum"):
+        "0f9d8d79d721ec9dad63077db09a1d8adc3fb76d12923d5386cc6a3a44c33c3e",
+    (7, 0.3, "blind-invert", "dist-sgd"):
+        "66d82385e1c8e4a3256add27aa2b190c802944674d576fac5e973fcd7ea7c928",
+    (7, 0.3, "blind-invert", "signsgd"):
+        "086694e1f7eb6aeda297eb652d77f4883824c9d58f7fd59b61c97799f961b471",
+    (7, 0.3, "blind-invert", "signum"):
+        "4c4587061e3b96a3963b245f920c28fba4ce761aa66348983e674bebdafeb90a",
+    (7, 0.3, "byz-collude-zeroing", "signsgd"):
+        "cdc1a46f3312a894f2ff9c21ea7983249fa460ffa453b4b34f619002fcf361b5",
+    (7, 0.3, "byz-collude-zeroing", "signum"):
+        "155d5bed0d2584491f8cbafc83e45a040ffd794e34edc618d44f81b49b3c661d",
+    (7, 0.3, "byz-collude-alternating", "signsgd"):
+        "cdc1a46f3312a894f2ff9c21ea7983249fa460ffa453b4b34f619002fcf361b5",
+    (7, 0.3, "byz-collude-alternating", "signum"):
+        "155d5bed0d2584491f8cbafc83e45a040ffd794e34edc618d44f81b49b3c661d",
+    (7, 0.3, "byz-oppose-true-sign", "signsgd"):
+        "072c9e474d68dc9d16b7c029c8ce901b6a71831905b120697ad72475dbea55cb",
+    (7, 0.3, "byz-oppose-true-sign", "signum"):
+        "3a4eb5e89b0fdda746c3be97b41603042dcd339bc16e384c7c4875757b306545",
+    (7, 0.3, "byz-inverse-sum", "dist-sgd"):
+        "338564c50423e41d94875469a11f6ecdc36de76889e6e9cdb35edffa4cb780e0",
+    (1, 0.6, "none", "dist-sgd"):
+        "3b7ae5a2530fde17b15345dbe6423601acd85161cc4221de0bbeca7c59ef580b",
+    (1, 0.6, "none", "signsgd"):
+        "74bea6c819fc88c5cfc603538dfe0a3cc5d22460901872ea9df15b43b779ba4c",
+    (1, 0.6, "none", "signum"):
+        "d66963c8a9c17c08de0f0b685d6a1230c4456ee80af1093a729bf1fd4a5db1d4",
+    (1, 0.6, "blind-invert", "dist-sgd"):
+        "cb738538d2606675370d25d5547f700049aa314da18d01a14f1ed545883082e7",
+    (1, 0.6, "blind-invert", "signsgd"):
+        "f0f36a946f100a2d60977fb2cbf18ae947026b688c719fbfda4aa0efec1e760f",
+    (1, 0.6, "blind-invert", "signum"):
+        "c5f912bc996893d04ef7edf75a0a50389afe4d63c67c9b8b59b1efa7e5816bcc",
+    (1, 0.6, "byz-collude-zeroing", "signsgd"):
+        "df3f998b9aef1f7c4f710be4e27cef4bf4438fd54945dfc892287983b7e6f068",
+    (1, 0.6, "byz-collude-zeroing", "signum"):
+        "df3f998b9aef1f7c4f710be4e27cef4bf4438fd54945dfc892287983b7e6f068",
+    (1, 0.6, "byz-collude-alternating", "signsgd"):
+        "df3f998b9aef1f7c4f710be4e27cef4bf4438fd54945dfc892287983b7e6f068",
+    (1, 0.6, "byz-collude-alternating", "signum"):
+        "df3f998b9aef1f7c4f710be4e27cef4bf4438fd54945dfc892287983b7e6f068",
+    (1, 0.6, "byz-oppose-true-sign", "signsgd"):
+        "e8b048b7d54c20cd1dc9b395682db7f54ff5db2e6700e1277c38f8d24007a008",
+    (1, 0.6, "byz-oppose-true-sign", "signum"):
+        "e8b048b7d54c20cd1dc9b395682db7f54ff5db2e6700e1277c38f8d24007a008",
+    (1, 0.6, "byz-inverse-sum", "dist-sgd"):
+        "338564c50423e41d94875469a11f6ecdc36de76889e6e9cdb35edffa4cb780e0",
+}
+
+
+class TestStrategyRuleMatrix:
+    """Paths no bundled anchor reaches: every strategy and rule, with and without
+    honest workers, keeps the recorded metrics.csv bytes."""
+
+    @pytest.mark.parametrize("workers,alpha,strategy,rule", list(STRATEGY_RULE_ANCHORS))
+    def test_metrics_csv_bytes(self, tmp_path, workers, alpha, strategy, rule):
+        cfg = make_config(rule=rule, beta=0.9 if rule == "signum" else 0.0, strategy=strategy,
+                          alpha=alpha, workers=workers, eval_every=5)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(run_experiment(cfg), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == STRATEGY_RULE_ANCHORS[workers, alpha, strategy, rule]
 
 
 class TestByzantineCount:
@@ -141,9 +216,20 @@ class TestAgainstNaiveReference:
         assert final_ref < 1e-3 * initial
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 class TestDivergence:
     """Each way a run can leave the finite numbers ends in DivergedError(round)."""
+
+    @pytest.mark.parametrize("kw", [
+        {"eta": 1e308},
+        {"rule": "dist-sgd", "eta": 1e200, "kind": "linear-regression"},
+        {"rule": "dist-sgd", "eta": 1e308},
+    ])
+    def test_no_runtime_warning(self, kw):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergedError):
+                run_experiment(make_config(**kw))
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_worker_sign_of_nan(self):
         with pytest.raises(DivergedError) as caught:
@@ -309,8 +395,6 @@ class TestConfigValidation:
             make_config(strategy="blind-invert", alpha=0.45, p_estimate=0.8)
 
     def test_no_warning_when_admissible(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_config(strategy="blind-invert", alpha=0.2, p_estimate=0.9)

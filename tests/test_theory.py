@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, norm
 
+from signvote.adversaries import byzantine_count
 from signvote.core import RngStream
 from signvote.models import ModelSpec, generate_synthetic, grad
 from signvote.theory import (
@@ -142,10 +143,25 @@ class TestVoteFailure:
         for n_workers in DEFAULT_VOTE_WORKERS:
             for p in DEFAULT_VOTE_P:
                 for alpha in DEFAULT_VOTE_ALPHA:
-                    healthy = int(np.floor((1.0 - alpha) * n_workers + 0.5))
+                    healthy = n_workers - byzantine_count(alpha, n_workers)
                     k = n_workers // 2
                     assert _binomial_cdf(k, healthy, p) == pytest.approx(
                         binom.cdf(k, healthy, p), rel=1e-12), (n_workers, p, alpha)
+
+    @pytest.mark.parametrize("n_workers,alpha,healthy",
+                             [(15, 0.1, 13), (5, 0.1, 4), (5, 0.3, 3), (3, 0.5, 1), (2, 0.25, 1)])
+    def test_healthy_count_at_half_ties_is_the_engines(self, n_workers, alpha, healthy):
+        # alpha * M ends in .5: f rounds up, so (1 - alpha) M rounds down, not up
+        assert n_workers - byzantine_count(alpha, n_workers) == healthy
+        assert vote_failure_exact(n_workers, alpha, 0.8) == pytest.approx(
+            binom.cdf(n_workers // 2, healthy, 0.8), rel=1e-12)
+
+    def test_healthy_count_follows_byzantine_count_on_grid(self):
+        for n_workers in range(1, 40):
+            for alpha in np.round(np.arange(0.0, 1.0, 0.05), 2):
+                healthy = n_workers - byzantine_count(float(alpha), n_workers)
+                assert vote_failure_exact(n_workers, float(alpha), 0.7) == _binomial_cdf(
+                    n_workers // 2, healthy, 0.7), (n_workers, alpha)
 
     def test_stable_at_ten_thousand_workers(self):
         value = vote_failure_exact(10_000, 0.0, 0.6)
