@@ -14,6 +14,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import theory
 from .models import IdxFormatError, max_relative_grad_error, sample_batch
@@ -22,6 +23,7 @@ from .simulation import (
     RunRecord,
     config_from_mapping,
     load_data,
+    parse_sections,
     run_experiment,
     sweep_configs,
     write_json,
@@ -50,7 +52,7 @@ def _diverged(exc: DivergedError, **fields) -> int:
     return _error("diverged", str(exc), EXIT_FAIL, round=exc.round, **fields)
 
 
-def _read_config(path: str, overrides, seed: int | None) -> dict:
+def _read_config(path: str, overrides) -> dict:
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     parser = configparser.ConfigParser()
@@ -63,8 +65,6 @@ def _read_config(path: str, overrides, seed: int | None) -> dict:
         if not sep or not dot or not section or not name:
             raise ValueError(f"override {item!r} must look like section.key=value")
         mapping.setdefault(section, {})[name] = value
-    if seed is not None:
-        mapping.setdefault("run", {})["seed"] = str(seed)
     return mapping
 
 
@@ -100,7 +100,7 @@ def _write_run(record: RunRecord, out_dir: str) -> dict:
 def _with_config(args, body) -> int:
     """Shared config-loading error handling for run-like commands."""
     try:
-        mapping = _read_config(args.config, args.set, args.seed)
+        mapping = _read_config(args.config, args.set)
     except FileNotFoundError as exc:
         return _error("config-not-found", f"config file not found: {exc}")
     except (configparser.Error, ValueError) as exc:
@@ -109,6 +109,8 @@ def _with_config(args, body) -> int:
         cfg = config_from_mapping(mapping)
     except ValueError as exc:
         return _error("config-invalid", str(exc))
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     try:
         return body(cfg)
     except (IdxFormatError, FileNotFoundError) as exc:
@@ -132,9 +134,14 @@ def _cmd_run(args) -> int:
     return _with_config(args, body)
 
 
+def _grid(convert):
+    """Parser of a comma-separated grid; empty items are skipped."""
+    return lambda text: [convert(item) for item in text.split(",") if item.strip() != ""]
+
+
 def _parse_grid(text: str, convert, what: str):
     try:
-        values = [convert(item) for item in text.split(",") if item.strip() != ""]
+        values = _grid(convert)(text)
     except ValueError as exc:
         raise ValueError(f"bad {what} grid {text!r}") from exc
     if not values:
@@ -165,35 +172,25 @@ def _cmd_sweep(args) -> int:
     return _with_config(args, body)
 
 
+# every key a --grid-config file may use: (section, key) -> (bound_report argument,
+# parser); an empty grid here is legal and drops that family of checks
+GRID_KEYS = {
+    ("sign-error", "snr"): ("snr_grid", _grid(float)),
+    ("sign-error", "families"): ("families", _grid(str)),
+    ("sign-error", "samples"): ("mc_samples", int),
+    ("vote", "workers"): ("vote_workers", _grid(int)),
+    ("vote", "p"): ("vote_p", _grid(float)),
+    ("vote", "alpha"): ("vote_alpha", _grid(float)),
+    ("mc", "seed"): ("seed", int),
+}
+
+
 def _read_grid_config(path: str) -> dict:
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle)
-
-    def grid(text, convert):
-        # empty sub-grids are legal here; they just drop that family of checks
-        return [convert(item) for item in text.split(",") if item.strip() != ""]
-
-    kwargs = {}
-    if parser.has_section("sign-error"):
-        section = parser["sign-error"]
-        if "snr" in section:
-            kwargs["snr_grid"] = grid(section["snr"], float)
-        if "families" in section:
-            kwargs["families"] = grid(section["families"], str)
-        if "samples" in section:
-            kwargs["mc_samples"] = int(section["samples"])
-    if parser.has_section("vote"):
-        section = parser["vote"]
-        if "workers" in section:
-            kwargs["vote_workers"] = grid(section["workers"], int)
-        if "p" in section:
-            kwargs["vote_p"] = grid(section["p"], float)
-        if "alpha" in section:
-            kwargs["vote_alpha"] = grid(section["alpha"], float)
-    if parser.has_section("mc") and "seed" in parser["mc"]:
-        kwargs["seed"] = int(parser["mc"]["seed"])
-    return kwargs
+    mapping = {section: dict(parser.items(section)) for section in parser.sections()}
+    return {GRID_KEYS[key][0]: value for key, value in parse_sections(mapping, GRID_KEYS).items()}
 
 
 def _cmd_verify_bounds(args) -> int:
@@ -244,9 +241,17 @@ def _cmd_gradient_check(args) -> int:
     return _with_config(args, body)
 
 
+def _float_or_nan(value) -> float:
+    """A summary number; ``null`` (written for NaN or infinity) reads as NaN."""
+    return float("nan") if value is None else float(value)
+
+
 def _load_run_dir(run_dir: str) -> dict:
+    """Config, final loss and accuracy, and loss curve of one finished run."""
     with open(os.path.join(run_dir, "summary.json"), "r", encoding="utf-8") as handle:
         summary = json.load(handle)
+    config = config_from_mapping(summary["config"])
+    final = summary["final"]
     steps, losses = [], []
     with open(os.path.join(run_dir, "metrics.csv"), "r", encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
@@ -257,12 +262,8 @@ def _load_run_dir(run_dir: str) -> dict:
             losses.append(float(cells[loss_i]))
     if not steps:
         raise ValueError(f"{run_dir}: metrics.csv has no rows")
-    return {"summary": summary, "steps": steps, "losses": losses}
-
-
-def _float_or_nan(value) -> float:
-    """A summary number; ``null`` (written for NaN or infinity) reads as NaN."""
-    return float("nan") if value is None else float(value)
+    return {"config": config, "loss": _float_or_nan(final["loss"]),
+            "accuracy": _float_or_nan(final["accuracy"]), "steps": steps, "losses": losses}
 
 
 def _cmd_report(args) -> int:
@@ -273,7 +274,6 @@ def _cmd_report(args) -> int:
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"warning: skipping {run_dir}: {exc}", file=sys.stderr)
             continue
-        config = run["summary"]["config"]
         threshold = args.loss_threshold
         if threshold is None:
             threshold = 0.5 * run["losses"][0]
@@ -282,14 +282,9 @@ def _cmd_report(args) -> int:
             if value <= threshold:
                 steps_to = str(step)
                 break
-        final = run["summary"]["final"]
-        rows.append(",".join([
-            str(config["optimizer"]["rule"]),
-            repr(float(config["adversary"]["alpha"])),
-            repr(_float_or_nan(final["loss"])),
-            repr(_float_or_nan(final["accuracy"])),
-            steps_to,
-        ]))
+        config = run["config"]
+        rows.append(",".join([config.optimizer.rule, repr(config.adversary.alpha),
+                              repr(run["loss"]), repr(run["accuracy"]), steps_to]))
     if not rows:
         return _error("no-valid-runs", "none of the given run directories were readable")
     out_path = args.out or "report.csv"

@@ -52,7 +52,7 @@ def as_signs(values, name: str = "sign vector") -> np.ndarray:
     which for those dtypes accepts exactly what the set membership test
     accepts, at a fraction of its cost.  Every other dtype (float, complex, object) goes
     through ``np.isin``, so NaN and fractional values are rejected and -0.0
-    is accepted as 0.
+    is accepted as 0.  A 1-D int8 input comes back as is, not copied.
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -63,7 +63,7 @@ def as_signs(values, name: str = "sign vector") -> np.ndarray:
         valid = np.isin(arr, (-1, 0, 1)).all()
     if not valid:
         raise ValueError(f"{name} entries must be -1, 0, or +1")
-    return arr.astype(np.int8)
+    return arr.astype(np.int8, copy=False)
 
 
 def sign(values) -> np.ndarray:

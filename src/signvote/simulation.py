@@ -19,7 +19,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .optimizers import (
 
 __all__ = [
     "AdversaryConfig",
+    "CONFIG_KEYS",
     "DATA_STREAM_ID",
     "DivergedError",
     "INIT_STREAM_ID",
@@ -74,6 +75,7 @@ __all__ = [
     "config_from_mapping",
     "config_to_mapping",
     "load_data",
+    "parse_sections",
     "run_experiment",
     "run_sweep",
     "sweep_configs",
@@ -409,55 +411,81 @@ def write_summary_json(record: RunRecord, path) -> None:
 
 # -- config <-> plain mapping ---------------------------------------------------
 
+# Every key a run config may use: (section, key) -> (dataclass, field it fills,
+# parser).  Defaults live only in the dataclasses; a key whose field has none
+# is required.  [data] takes the keys of both sources, and ``source`` names the
+# class that fills ExperimentConfig.data (see _DATA_SOURCES).
+CONFIG_KEYS = {
+    ("model", "kind"): (ModelSpec, "kind", str),
+    ("model", "input_dim"): (ModelSpec, "input_dim", int),
+    ("model", "hidden_dim"): (ModelSpec, "hidden_dim", int),
+    ("model", "num_classes"): (ModelSpec, "num_classes", int),
+    ("data", "source"): (ExperimentConfig, "data", str),
+    ("data", "kind"): (SyntheticData, "kind", str),
+    ("data", "samples"): (SyntheticData, "n_samples", int),
+    ("data", "noise_level"): (SyntheticData, "noise_level", float),
+    ("data", "images"): (IdxData, "images_path", str),
+    ("data", "labels"): (IdxData, "labels_path", str),
+    ("optimizer", "rule"): (OptimizerConfig, "rule", str),
+    ("optimizer", "eta"): (OptimizerConfig, "eta", float),
+    ("optimizer", "beta"): (OptimizerConfig, "beta", float),
+    ("optimizer", "weight_decay"): (OptimizerConfig, "weight_decay", float),
+    ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", int),
+    ("optimizer", "decay_factor"): (Schedule, "decay_factor", float),
+    ("optimizer", "decay_every"): (Schedule, "decay_every", int),
+    ("adversary", "strategy"): (AdversaryConfig, "strategy", str),
+    ("adversary", "alpha"): (AdversaryConfig, "alpha", float),
+    ("run", "workers"): (ExperimentConfig, "n_workers", int),
+    ("run", "rounds"): (ExperimentConfig, "n_rounds", int),
+    ("run", "seed"): (ExperimentConfig, "seed", int),
+    ("run", "eval_every"): (ExperimentConfig, "eval_every", int),
+    ("run", "p_estimate"): (ExperimentConfig, "p_estimate", float),
+    ("run", "out"): (ExperimentConfig, "out_dir", str),
+}
+
+# [data] source names and the dataset class each one builds
+_DATA_SOURCES = {"synthetic": SyntheticData, "idx": IdxData}
+
+
+def parse_sections(mapping: dict, keys: dict) -> dict:
+    """Parse a ``{section: {key: value}}`` mapping against a key table.
+
+    ``keys`` maps every (section, key) the mapping may use to a tuple whose
+    last item parses the value.  Returns ``{(section, key): parsed value}``
+    for the keys present.  An unknown section or key, or a value its parser
+    rejects, raises ValueError.
+    """
+    sections = {section for section, _ in keys}
+    parsed = {}
+    for section, body in mapping.items():
+        if section not in sections:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, raw in body.items():
+            if (section, key) not in keys:
+                raise ValueError(f"unknown config key {key!r} in section [{section}]")
+            try:
+                parsed[section, key] = keys[section, key][-1](raw)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for config key {key!r}: {raw!r}") from exc
+    return parsed
+
 
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
-    """Flatten a config into the five-section mapping used by config files."""
-    model = {"kind": cfg.model.kind, "input_dim": cfg.model.input_dim}
-    if cfg.model.hidden_dim is not None:
-        model["hidden_dim"] = cfg.model.hidden_dim
-    if cfg.model.num_classes is not None:
-        model["num_classes"] = cfg.model.num_classes
-    if isinstance(cfg.data, IdxData):
-        data = {"source": "idx", "images": cfg.data.images_path, "labels": cfg.data.labels_path}
-    else:
-        data = {
-            "source": "synthetic",
-            "kind": cfg.data.kind,
-            "samples": cfg.data.n_samples,
-            "noise_level": cfg.data.noise_level,
-        }
-    optimizer = {
-        "rule": cfg.optimizer.rule,
-        "eta": cfg.optimizer.eta,
-        "beta": cfg.optimizer.beta,
-        "weight_decay": cfg.optimizer.weight_decay,
-        "batch_size": cfg.optimizer.batch_size,
-        "decay_factor": cfg.optimizer.schedule.decay_factor,
-        "decay_every": cfg.optimizer.schedule.decay_every,
-    }
-    adversary = {"strategy": cfg.adversary.strategy, "alpha": cfg.adversary.alpha}
-    run = {
-        "workers": cfg.n_workers,
-        "rounds": cfg.n_rounds,
-        "seed": cfg.seed,
-        "eval_every": cfg.eval_every,
-    }
-    if cfg.p_estimate is not None:
-        run["p_estimate"] = cfg.p_estimate
-    if cfg.out_dir is not None:
-        run["out"] = cfg.out_dir
-    return {"model": model, "data": data, "optimizer": optimizer, "adversary": adversary, "run": run}
+    """Flatten a config into the five-section mapping used by config files.
 
-
-def _take(section: dict, key: str, convert, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ValueError(f"missing config key {key!r}")
-        return default
-    try:
-        return convert(section[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for config key {key!r}: {section[key]!r}") from exc
+    Fields that are None (no hidden layer, p estimate or output directory)
+    are left out.
+    """
+    parts = {type(part): part for part in (cfg, cfg.model, cfg.data, cfg.optimizer,
+                                          cfg.optimizer.schedule, cfg.adversary)}
+    source_names = {cls: name for name, cls in _DATA_SOURCES.items()}
+    mapping = {section: {} for section, _ in CONFIG_KEYS}
+    for (section, key), (cls, name, _) in CONFIG_KEYS.items():
+        value = getattr(parts[cls], name) if cls in parts else None
+        if value is not None:
+            # the dataset object itself is written as its source name
+            mapping[section][key] = source_names.get(type(value), value)
+    return mapping
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -465,59 +493,34 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
     Values may be strings (fresh from a config file) or already typed (from a
     summary-JSON echo); both parse identically, so echoed configs replay.
+    Sections and keys outside :data:`CONFIG_KEYS` are rejected.  Data without
+    a ``source`` is synthetic, and its ``kind`` defaults to the model's.
     """
-    for name in ("model", "data", "optimizer", "run"):
-        if name not in mapping:
-            raise ValueError(f"missing config section [{name}]")
-    msec = dict(mapping["model"])
-    model = ModelSpec(
-        kind=_take(msec, "kind", str, required=True),
-        input_dim=_take(msec, "input_dim", int, required=True),
-        hidden_dim=_take(msec, "hidden_dim", int),
-        num_classes=_take(msec, "num_classes", int),
-    )
-    dsec = dict(mapping["data"])
-    source = _take(dsec, "source", str, default="synthetic")
-    if source == "idx":
-        data = IdxData(
-            images_path=_take(dsec, "images", str, required=True),
-            labels_path=_take(dsec, "labels", str, required=True),
-        )
-    elif source == "synthetic":
-        data = SyntheticData(
-            kind=_take(dsec, "kind", str, default=model.kind),
-            n_samples=_take(dsec, "samples", int, required=True),
-            noise_level=_take(dsec, "noise_level", float, default=0.0),
-        )
-    else:
+    parsed = parse_sections(mapping, CONFIG_KEYS)
+    filled = {CONFIG_KEYS[key][:2]: value for key, value in parsed.items()}
+
+    def build(cls, **given):
+        kwargs = {name: value for (owner, name), value in filled.items() if owner is cls}
+        kwargs.update(given)
+        for (section, key), (owner, name, _) in CONFIG_KEYS.items():
+            if owner is not cls or name in kwargs:
+                continue
+            spec = cls.__dataclass_fields__[name]
+            if spec.default is MISSING and spec.default_factory is MISSING:
+                if section not in mapping:
+                    raise ValueError(f"missing config section [{section}]")
+                raise ValueError(f"missing config key {key!r}")
+        return cls(**kwargs)
+
+    model = build(ModelSpec)
+    source = filled.get((ExperimentConfig, "data"), "synthetic")
+    if source not in _DATA_SOURCES:
         raise ValueError(f"unknown data source {source!r} (expected 'synthetic' or 'idx')")
-    osec = dict(mapping["optimizer"])
-    optimizer = OptimizerConfig(
-        rule=_take(osec, "rule", str, required=True),
-        eta=_take(osec, "eta", float, required=True),
-        beta=_take(osec, "beta", float, default=0.0),
-        weight_decay=_take(osec, "weight_decay", float, default=0.0),
-        batch_size=_take(osec, "batch_size", int, default=32),
-        schedule=Schedule(
-            decay_factor=_take(osec, "decay_factor", float, default=10.0),
-            decay_every=_take(osec, "decay_every", int, default=30),
-        ),
-    )
-    asec = dict(mapping.get("adversary", {}))
-    adversary = AdversaryConfig(
-        strategy=_take(asec, "strategy", str, default="none"),
-        alpha=_take(asec, "alpha", float, default=0.0),
-    )
-    rsec = dict(mapping["run"])
-    return ExperimentConfig(
+    filled.setdefault((SyntheticData, "kind"), model.kind)
+    return build(
+        ExperimentConfig,
         model=model,
-        data=data,
-        optimizer=optimizer,
-        n_workers=_take(rsec, "workers", int, required=True),
-        adversary=adversary,
-        n_rounds=_take(rsec, "rounds", int, required=True),
-        seed=_take(rsec, "seed", int, default=0),
-        eval_every=_take(rsec, "eval_every", int, default=10),
-        p_estimate=_take(rsec, "p_estimate", float),
-        out_dir=_take(rsec, "out", str),
+        data=build(_DATA_SOURCES[source]),
+        optimizer=build(OptimizerConfig, schedule=build(Schedule)),
+        adversary=build(AdversaryConfig),
     )

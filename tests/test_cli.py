@@ -278,6 +278,47 @@ class TestGradientCheck:
         assert payload["max_relative_error"] < 1e-5
 
 
+class TestMisspeltConfig:
+    """A section or key outside the key tables is config-invalid, never ignored."""
+
+    def test_misspelt_section_header(self, tmp_path, capsys):
+        text = Path(BLIND_CONFIG).read_text().replace("[adversary]", "[adversry]")
+        cfg = tmp_path / "blind.cfg"
+        cfg.write_text(text)
+        code, payload = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert (code, payload["error"]) == (2, "config-invalid")
+        assert payload["message"] == "unknown config section [adversry]"
+        assert not (tmp_path / "x").exists()
+
+    def test_misspelt_override_key(self, tmp_path, capsys):
+        code, payload = run_cli(capsys, "run", "--config", BLIND_CONFIG,
+                                "--out", str(tmp_path / "x"), "--set", "optimizer.bata=0.5")
+        assert (code, payload["error"]) == (2, "config-invalid")
+        assert payload["message"] == "unknown config key 'bata' in section [optimizer]"
+
+    @pytest.mark.parametrize("command", [["sweep", "--alphas", "0", "--rules", "signsgd"],
+                                         ["gradient-check"]])
+    def test_other_config_commands(self, tmp_path, capsys, command):
+        cfg = write_quick_config(tmp_path, {("run", "worker"): "5"})
+        code, payload = run_cli(capsys, command[0], "--config", cfg,
+                                "--out", str(tmp_path / "x"), *command[1:])
+        assert (code, payload["error"]) == (2, "config-invalid")
+        assert payload["message"] == "unknown config key 'worker' in section [run]"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[vote]\nworkrs = 11\n", "unknown config key 'workrs' in section [vote]"),
+        ("[sign-eror]\nsamples = 500\n", "unknown config section [sign-eror]"),
+        ("[sign-error]\nsamples = many\n", "bad value for config key 'samples': 'many'"),
+    ])
+    def test_grid_config(self, tmp_path, capsys, text, message):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(text)
+        code, payload = run_cli(capsys, "verify-bounds", "--out", str(tmp_path / "b"),
+                                "--grid-config", str(grid))
+        assert (code, payload) == (2, {"error": "config-invalid", "message": message})
+        assert not (tmp_path / "b").exists()
+
+
 class TestReport:
     @staticmethod
     def make_runs(tmp_path, capsys, n=2):
@@ -335,6 +376,20 @@ class TestReport:
         code, payload = run_cli(capsys, "report", str(run_dir), "--out", str(out_csv))
         assert code == 0 and payload["rows"] == 1
         assert out_csv.read_text().splitlines()[1].split(",")[3] == "nan"
+
+    @pytest.mark.parametrize("drop", ["config", "final"])
+    def test_summary_without_part_skipped_with_warning(self, tmp_path, capsys, drop):
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        summary = Path(dirs[0]) / "summary.json"
+        payload = json.loads(summary.read_text())
+        del payload[drop]
+        summary.write_text(json.dumps(payload))
+        code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert f"warning: skipping {dirs[0]}: '{drop}'" in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
+        assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[1] == "0.2"
 
     def test_all_malformed_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "broken"

@@ -126,6 +126,13 @@ class TestAsSigns:
         with pytest.raises(ValueError):
             as_signs([0.5])
 
+    def test_int8_input_returned_as_is(self):
+        signs = np.array([1, 0, -1], dtype=np.int8)
+        assert as_signs(signs) is signs
+        wide = signs.astype(np.int64)
+        out = as_signs(wide)
+        assert out.dtype == np.int8 and not np.shares_memory(out, wide)
+
 
 class TestRngStream:
     def test_same_key_same_draws(self):

@@ -11,9 +11,11 @@ from signvote.core import NonFiniteError, RngStream
 from signvote.models import ModelSpec
 from signvote.optimizers import OptimizerConfig, Schedule
 from signvote.simulation import (
+    CONFIG_KEYS,
     AdversaryConfig,
     DivergedError,
     ExperimentConfig,
+    IdxData,
     SyntheticData,
     byzantine_count,
     config_from_mapping,
@@ -473,11 +475,114 @@ class TestArtifacts:
             config_from_mapping(mapping)
 
 
+# config_to_mapping of the bundled configs, recorded while config_to_mapping and
+# config_from_mapping still spelled out every key by hand
+BUNDLED_MAPPINGS = {
+    "logistic_blind": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum", "weight_decay": 0.0}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "logistic_byzantine": '{"adversary": {"alpha": 0.4, "strategy": "byz-collude-zeroing"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum", "weight_decay": 0.0}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "sgd_inverse_sum": '{"adversary": {"alpha": 0.3333333333333333, "strategy": "byz-inverse-sum"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.0, "decay_every": 30, "decay_factor": 10.0, "eta": 0.35, "rule": "dist-sgd", "weight_decay": 0.0}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 3}}',
+    "mnist_mlp": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"images": "data/train-images-idx3-ubyte", "labels": "data/train-labels-idx1-ubyte", "source": "idx"}, "model": {"hidden_dim": 32, "input_dim": 784, "kind": "mlp", "num_classes": 10}, "optimizer": {"batch_size": 32, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 1e-05, "rule": "signum", "weight_decay": 0.0}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+}
+
+
+def every_key_configs():
+    """An IDX and a synthetic config that between them set every key of CONFIG_KEYS."""
+    shared = dict(
+        optimizer=OptimizerConfig("signum", 0.01, beta=0.5, weight_decay=1e-3, batch_size=4,
+                                  schedule=Schedule(decay_factor=2.0, decay_every=7)),
+        n_workers=4,
+        adversary=AdversaryConfig("blind-invert", 0.25),
+        n_rounds=12,
+        seed=3,
+        eval_every=4,
+        p_estimate=0.9,
+        out_dir="runs/every-key",
+    )
+    return [
+        ExperimentConfig(model=ModelSpec("mlp", 9, hidden_dim=6, num_classes=3),
+                         data=IdxData("img.idx", "lab.idx"), **shared),
+        ExperimentConfig(model=ModelSpec("linear-regression", 5),
+                         data=SyntheticData(kind="linear-regression", n_samples=50,
+                                            noise_level=0.1), **shared),
+    ]
+
+
+def bundled_mapping(name):
+    import configparser
+    from pathlib import Path
+
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    return {s: dict(parser.items(s)) for s in parser.sections()}
+
+
+class TestConfigMapping:
+    def test_every_key_config_round_trips(self):
+        keys = set()
+        for cfg in every_key_configs():
+            mapping = config_to_mapping(cfg)
+            keys |= {(section, key) for section, body in mapping.items() for key in body}
+            as_text = {section: {k: str(v) for k, v in body.items()}
+                       for section, body in mapping.items()}
+            assert config_from_mapping(mapping) == cfg
+            assert config_from_mapping(as_text) == cfg
+            assert config_from_mapping(json.loads(json.dumps(mapping))) == cfg
+        assert keys == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_MAPPINGS))
+    def test_bundled_config_mapping_as_recorded(self, name):
+        mapping = config_to_mapping(config_from_mapping(bundled_mapping(name)))
+        assert json.dumps(mapping, sort_keys=True) == BUNDLED_MAPPINGS[name]
+
+    def test_defaults_are_the_dataclasses(self):
+        mapping = {"model": {"kind": "linear-regression", "input_dim": "3"},
+                   "data": {"samples": "20"},
+                   "optimizer": {"rule": "signsgd", "eta": "0.1"},
+                   "run": {"workers": "2"}}
+        assert config_from_mapping(mapping) == ExperimentConfig(
+            model=ModelSpec("linear-regression", 3),
+            data=SyntheticData(kind="linear-regression", n_samples=20),
+            optimizer=OptimizerConfig("signsgd", 0.1),
+            n_workers=2,
+        )
+
+    def test_data_takes_keys_of_both_sources(self):
+        mapping = bundled_mapping("logistic_blind")
+        mapping["data"].update(source="idx", images="i.idx", labels="l.idx")
+        assert config_from_mapping(mapping).data == IdxData("i.idx", "l.idx")
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("adversry", "alpha", "0.1", "unknown config section [adversry]"),
+        ("optimizer", "bata", "0.5", "unknown config key 'bata' in section [optimizer]"),
+        ("data", "samples", "many", "bad value for config key 'samples': 'many'"),
+        ("data", "source", "csv", "unknown data source 'csv' (expected 'synthetic' or 'idx')"),
+    ])
+    def test_bad_entry_rejected(self, section, key, value, message):
+        mapping = bundled_mapping("logistic_blind")
+        mapping.setdefault(section, {})[key] = value
+        with pytest.raises(ValueError) as exc:
+            config_from_mapping(mapping)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("run", "workers", "missing config key 'workers'"),
+        ("data", None, "missing config section [data]"),
+        ("data", "labels", "missing config key 'labels'"),
+    ])
+    def test_missing_entry_rejected(self, section, key, message):
+        mapping = bundled_mapping("mnist_mlp" if key == "labels" else "logistic_blind")
+        if key is None:
+            del mapping[section]
+        else:
+            del mapping[section][key]
+        with pytest.raises(ValueError) as exc:
+            config_from_mapping(mapping)
+        assert str(exc.value) == message
+
+
 def write_idx_pair(tmp_path, pixels, labels):
     """Write (n, rows, cols) uint8 pixels and n uint8 labels as an IDX pair."""
     import struct
-
-    from signvote.simulation import IdxData
 
     n, rows, cols = pixels.shape
     images_path = tmp_path / "img.idx"
