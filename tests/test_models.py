@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import warnings
@@ -308,6 +309,56 @@ class TestAccuracy:
         data = small_dataset(LINEAR)
         with pytest.raises(ValueError, match="classification"):
             accuracy(LINEAR, np.zeros(LINEAR.param_dim), data)
+
+
+# -- recorded bytes ---------------------------------------------------------------------
+
+# sha256 of the float64 bytes of loss, grad and accuracy for each model family, at
+# seeded params on a fixed batch with a repeated index; recorded before the three
+# functions shared one forward pass, so any bit change on any family shows here
+MODEL_BYTE_ANCHORS = {
+    ("linear", "loss"):
+        "05cb4ebd7ce3b656b41bd4bb5780f735d22e0e3bc633ff5c33747d87c5592af9",
+    ("linear", "grad"):
+        "5b09989833d4667abba6709b6a14325fe5852afd117aed05c7853b226f1acbba",
+    ("logistic", "loss"):
+        "6ac9c16469f6a2329cde2dcd3d4ab45498cb513be36822ce77870b660e512fc6",
+    ("logistic", "grad"):
+        "8ee76c4dbcce6b701acce8bbfdb22540d8fc4b58a9e98263a3acad2cb257b6b8",
+    ("logistic", "accuracy"):
+        "4cfa5b42ca669328764e67cd9a34bb8f90b16ed7ca8d85e8443783d7ccce15ed",
+    ("softmax", "loss"):
+        "768233797d7aed690b881e605c4fdd4d7c9863489cbf5327089a573402e250e2",
+    ("softmax", "grad"):
+        "4c02067e09e9da3ec83da356e8736cbb9417f0e90f75faf432d060dbe41c44d1",
+    ("softmax", "accuracy"):
+        "4cfa5b42ca669328764e67cd9a34bb8f90b16ed7ca8d85e8443783d7ccce15ed",
+    ("mlp", "loss"):
+        "e4c8e4e703742341b4ee6a91ca11304848923cb49f94c1274afab8614ca9b295",
+    ("mlp", "grad"):
+        "d24d4157ff1be5f64f81f23c71e29083e8cfd4cf49209599dcf862af4c410ca7",
+    ("mlp", "accuracy"):
+        "471d68e057e29dd01128278225e48c43c1099672cd5a7efe4a596b997c2c50e3",
+}
+BYTE_SPECS = {"linear": LINEAR, "logistic": LOGISTIC, "softmax": SOFTMAX, "mlp": MLP}
+
+
+def model_outputs(spec: ModelSpec) -> dict:
+    data = small_dataset(spec, n=40, seed=21)
+    params = 1.5 * np.random.default_rng(22).standard_normal(spec.param_dim)
+    batch = Batch(np.array([0, 5, 5, 17, 39, 2, 28]))
+    out = {"loss": loss(spec, params, data, batch), "grad": grad(spec, params, data, batch)}
+    if spec.is_classification:
+        out["accuracy"] = accuracy(spec, params, data)
+    return out
+
+
+class TestRecordedBytes:
+    @pytest.mark.parametrize("name,fn", list(MODEL_BYTE_ANCHORS))
+    def test_output_bytes(self, name, fn):
+        value = np.asarray(model_outputs(BYTE_SPECS[name])[fn])
+        assert value.dtype == np.float64
+        assert hashlib.sha256(value.tobytes()).hexdigest() == MODEL_BYTE_ANCHORS[name, fn]
 
 
 # -- synthetic data --------------------------------------------------------------------

@@ -603,18 +603,50 @@ def idx_config(data):
     )
 
 
+def learnable_idx_pair(tmp_path, n=30):
+    """An IDX pair of n 3x3 images whose class is the tercile of mean pixel intensity."""
+    rng = np.random.default_rng(4)
+    pixels = rng.integers(0, 256, size=(n, 3, 3), dtype=np.uint8)
+    brightness = pixels.reshape(n, -1).mean(axis=1)
+    labels = (np.digitize(brightness, np.quantile(brightness, [1 / 3, 2 / 3]))
+              .astype(np.uint8))
+    return write_idx_pair(tmp_path, pixels, labels)
+
+
+# metrics.csv sha256 of short runs of the two softmax families on the IDX fixture,
+# recorded before loss, grad and accuracy shared one forward pass
+IDX_RUN_ANCHORS = {
+    "mlp": "a9996c7fe04c8e1b8e9ab9ce0b304c0309b7e6335e9a4030e6014b52f5616cd3",
+    "logistic-regression": "4db17ea3862154a949a683c2f8482bc2ba31de6c153b63d6e1cef858beb1d553",
+}
+
+
 class TestIdxBackedRun:
     def test_mlp_trains_on_idx_fixture(self, tmp_path):
-        rng = np.random.default_rng(4)
-        pixels = rng.integers(0, 256, size=(30, 3, 3), dtype=np.uint8)
-        # learnable signal: class = tercile of mean pixel intensity
-        brightness = pixels.reshape(30, -1).mean(axis=1)
-        labels = (np.digitize(brightness, np.quantile(brightness, [1 / 3, 2 / 3]))
-                  .astype(np.uint8))
-        cfg = idx_config(write_idx_pair(tmp_path, pixels, labels))
+        cfg = idx_config(learnable_idx_pair(tmp_path))
         record = run_experiment(cfg)
         assert record.metrics[-1].train_loss < record.metrics[0].train_loss
         assert 0.0 <= record.metrics[-1].eval_accuracy <= 1.0
+
+    @pytest.mark.parametrize("kind", list(IDX_RUN_ANCHORS))
+    def test_metrics_csv_bytes(self, tmp_path, kind):
+        hidden = 6 if kind == "mlp" else None
+        # the MLP meets blind inverters; the softmax model the true-sign opposers,
+        # which read the full-batch gradient every round
+        strategy, rule, beta = (("blind-invert", "signum", 0.9) if kind == "mlp"
+                                else ("byz-oppose-true-sign", "signsgd", 0.0))
+        cfg = dataclasses.replace(
+            idx_config(learnable_idx_pair(tmp_path, n=60)),
+            model=ModelSpec(kind, 9, hidden_dim=hidden, num_classes=3),
+            optimizer=OptimizerConfig(rule, 0.02, beta=beta, batch_size=5),
+            n_workers=5,
+            adversary=AdversaryConfig(strategy, 0.4),
+            n_rounds=30,
+            eval_every=4,
+        )
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(run_experiment(cfg), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == IDX_RUN_ANCHORS[kind]
 
     def test_image_width_must_match_model(self, tmp_path):
         from signvote.models import IdxFormatError
