@@ -21,8 +21,7 @@ from signvote.simulation import AdversaryConfig, ExperimentConfig, SyntheticData
 print("per-coordinate strategy at f = 3 (honest sums -5..5):")
 honest = np.arange(-5, 6)
 for variant in ("zeroing", "alternating"):
-    _, summed = byz_collude_signs(honest, 3, variant)
-    totals = honest + summed
+    totals = honest + byz_collude_signs(honest, 3, variant).sum(axis=0, dtype=np.int64)
     print(f"  {variant:>11s}: honest {honest.tolist()}")
     print(f"  {'':>11s}  totals {totals.astype(int).tolist()}")
 print("""

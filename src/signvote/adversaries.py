@@ -66,7 +66,7 @@ def _integer_sign_sum(honest_sign_sum) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def byz_collude_signs(honest_sign_sum, f: int, variant: str = "zeroing"):
+def byz_collude_signs(honest_sign_sum, f: int, variant: str = "zeroing") -> np.ndarray:
     """Colluding sign votes against the observed honest sign sum.
 
     Per coordinate with honest sum s:
@@ -84,9 +84,7 @@ def byz_collude_signs(honest_sign_sum, f: int, variant: str = "zeroing"):
       unlike ``zeroing``.
     * ``s == 0`` (both variants): alternate -1, +1, ... starting with -1.
 
-    Returns ``(votes, summed)``: the (f, d) int8 votes plus their
-    coordinate-wise sum, the single dense message a designated adversary can
-    send on behalf of the whole group to save f - 1 transmissions.
+    Returns the (f, d) int8 block of votes.
     """
     if f < 1:
         raise ValueError("collusion needs f >= 1 adversaries (use strategy 'none' otherwise)")
@@ -104,9 +102,7 @@ def byz_collude_signs(honest_sign_sum, f: int, variant: str = "zeroing"):
     k = np.arange(f)[:, None]
     alternation = np.where((k - cancel) % 2 == 0, -base, base)
     votes = np.where(k < cancel, -base, alternation)
-    votes = np.where((abs_s > f)[None, :], -sg[None, :], votes).astype(np.int8)
-    summed = votes.sum(axis=0, dtype=np.int64).astype(np.float64)
-    return votes, summed
+    return np.where((abs_s > f)[None, :], -sg[None, :], votes).astype(np.int8)
 
 
 def byz_inverse_sum(honest, f: int) -> np.ndarray:

@@ -107,10 +107,10 @@ def _with_config(args, body) -> int:
         return _error("config-invalid", str(exc))
     try:
         cfg = config_from_mapping(mapping)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     except ValueError as exc:
         return _error("config-invalid", str(exc))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     try:
         return body(cfg)
     except (IdxFormatError, FileNotFoundError) as exc:
@@ -271,7 +271,9 @@ def _cmd_report(args) -> int:
     for run_dir in args.run_dirs:
         try:
             run = _load_run_dir(run_dir)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        # a summary.json of the wrong shape (a list for an object, ...) is
+        # skipped like a missing one
+        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             print(f"warning: skipping {run_dir}: {exc}", file=sys.stderr)
             continue
         threshold = args.loss_threshold

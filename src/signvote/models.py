@@ -12,6 +12,12 @@ order followed by its bias vector.
 * ``mlp``: one tanh hidden layer feeding a softmax output,
   params ``[W1 (hidden x input), b1, W2 (classes x hidden), b2]``.
 
+Only ``ModelSpec.param_dim`` and the ``_unpack_*`` helpers know this layout.
+One forward pass gives every family's logits (one per row for the linear and
+binary models, one per class otherwise) and the MLP's hidden layer; :func:`loss`,
+:func:`grad` and :func:`accuracy` then differ only in the loss family (squared
+error, sigmoid cross-entropy or softmax), and the MLP gradient reuses that layer.
+
 All losses are means over the batch and non-negative, so zero is always a
 valid lower bound on the objective.
 """
@@ -191,29 +197,26 @@ def _unpack_affine(spec: ModelSpec, params: np.ndarray):
 
 
 def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
+    """Views of W1, b1, W2 and b2 in the flat parameter vector."""
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    o = 0
-    w1 = params[o : o + h * d].reshape(h, d)
-    o += h * d
-    b1 = params[o : o + h]
-    o += h
-    w2 = params[o : o + c * h].reshape(c, h)
-    o += c * h
-    b2 = params[o : o + c]
-    return w1, b1, w2, b2
+    o1, o2 = h * d, h * d + h
+    o3 = o2 + c * h
+    return params[:o1].reshape(h, d), params[o1:o2], params[o2:o3].reshape(c, h), params[o3:]
 
 
 def _batch_rows(spec: ModelSpec, data: Dataset, batch: Batch):
+    """Feature rows and labels of the batch; class labels are range-checked."""
     if data.input_dim != spec.input_dim:
         raise ValueError(f"dataset input_dim {data.input_dim} != spec input_dim {spec.input_dim}")
     idx = batch.indices
     try:
         # take gathers rows faster than fancy indexing and bounds-checks the same way
-        return data.features.take(idx, axis=0), data.labels[idx]
+        x, y = data.features.take(idx, axis=0), data.labels[idx]
     except IndexError:
         raise ValueError(
             f"batch index {int(idx.max())} out of range for {data.n_samples} samples"
         ) from None
+    return x, _class_labels(spec, y) if spec.is_classification else y
 
 
 def _class_labels(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
@@ -224,13 +227,18 @@ def _class_labels(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _softmax_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """Logits of the rows of x, and the tanh hidden layer (None without one).
+
+    Linear and binary logistic models give one logit per row, shape (n,);
+    the softmax models one per class, shape (n, classes).
+    """
     if spec.kind == "mlp":
         w1, b1, w2, b2 = _unpack_mlp(spec, params)
         hidden = np.tanh(x @ w1.T + b1)
-        return hidden @ w2.T + b2
+        return hidden @ w2.T + b2, hidden
     w, b = _unpack_affine(spec, params)
-    return x @ w.T + b
+    return x @ w.T + b, None
 
 
 def _libm_exp(value: float) -> float:
@@ -270,36 +278,32 @@ def initial_params(spec: ModelSpec, rng: RngStream | None = None) -> np.ndarray:
     would ever move, so its weights draw from N(0, 1/fan_in) (biases zero),
     which needs an ``rng``.
     """
+    params = np.zeros(spec.param_dim, dtype=np.float64)
     if spec.kind != "mlp":
-        return np.zeros(spec.param_dim, dtype=np.float64)
+        return params
     if rng is None:
         raise ValueError("mlp initialization needs an RngStream to break symmetry")
-    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    gen = rng.generator
-    w1 = gen.standard_normal((h, d)) / np.sqrt(d)
-    w2 = gen.standard_normal((c, h)) / np.sqrt(h)
-    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
+    w1, _, w2, _ = _unpack_mlp(spec, params)
+    w1[...] = rng.generator.standard_normal(w1.shape) / np.sqrt(spec.input_dim)
+    w2[...] = rng.generator.standard_normal(w2.shape) / np.sqrt(spec.hidden_dim)
+    return params
 
 
 def loss(spec: ModelSpec, params, data: Dataset, batch: Batch) -> float:
     """Mean per-sample loss over the batch (squared error or cross-entropy)."""
     params = _check_params(spec, params)
     x, y = _batch_rows(spec, data, batch)
-    if spec.kind == "linear-regression":
-        w, b = _unpack_affine(spec, params)
-        r = x @ w + b - y
+    z = _forward(spec, params, x)[0]
+    if not spec.is_classification:
+        r = z - y
         return float(np.mean(r * r))
-    y = _class_labels(spec, y)
-    if spec.kind == "logistic-regression" and spec.num_classes == 2:
-        w, b = _unpack_affine(spec, params)
-        z = x @ w + b
+    if z.ndim == 1:
         # stable sigmoid cross-entropy on logits
         per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
         return float(np.mean(per))
-    logits = _softmax_logits(spec, params, x)
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(y.size), y]))
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    return float(np.mean(lse - z[np.arange(y.size), y]))
 
 
 def grad(spec: ModelSpec, params, data: Dataset, batch: Batch) -> np.ndarray:
@@ -307,34 +311,27 @@ def grad(spec: ModelSpec, params, data: Dataset, batch: Batch) -> np.ndarray:
     params = _check_params(spec, params)
     x, y = _batch_rows(spec, data, batch)
     n = batch.n
-    if spec.kind == "linear-regression":
-        w, b = _unpack_affine(spec, params)
-        r = x @ w + b - y
+    z, hidden = _forward(spec, params, x)
+    if not spec.is_classification:
+        r = z - y
         return np.concatenate([(2.0 / n) * (x.T @ r), [2.0 * np.mean(r)]])
-    y = _class_labels(spec, y)
-    if spec.kind == "logistic-regression" and spec.num_classes == 2:
-        w, b = _unpack_affine(spec, params)
-        dz = (_sigmoid(x @ w + b) - y) / n
+    if z.ndim == 1:
+        dz = (_sigmoid(z) - y) / n
         out = np.empty(params.size)
         np.matmul(x.T, dz, out=out[:-1])
         out[-1] = np.add.reduce(dz)
         return out
-    logits = _softmax_logits(spec, params, x)
-    zmax = logits.max(axis=1, keepdims=True)
-    ez = np.exp(logits - zmax)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    dz = probs
+    ez = np.exp(z - z.max(axis=1, keepdims=True))
+    dz = ez / ez.sum(axis=1, keepdims=True)
     dz[np.arange(y.size), y] -= 1.0
     dz /= n
-    if spec.kind == "logistic-regression":
+    if hidden is None:
         return np.concatenate([(dz.T @ x).ravel(), dz.sum(axis=0)])
-    w1, b1, w2, b2 = _unpack_mlp(spec, params)
-    hidden = np.tanh(x @ w1.T + b1)
-    dw2 = dz.T @ hidden
-    db2 = dz.sum(axis=0)
+    # backward through the output layer, then the tanh layer _forward kept
+    w2 = _unpack_mlp(spec, params)[2]
     da = (dz @ w2) * (1.0 - hidden * hidden)
-    dw1 = da.T @ x
-    db1 = da.sum(axis=0)
+    dw1, db1 = da.T @ x, da.sum(axis=0)
+    dw2, db2 = dz.T @ hidden, dz.sum(axis=0)
     return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
 
@@ -349,11 +346,8 @@ def accuracy(spec: ModelSpec, params, data: Dataset) -> float:
         raise ValueError("accuracy requires a classification model")
     params = _check_params(spec, params)
     y = _class_labels(spec, data.labels)
-    if spec.kind == "logistic-regression" and spec.num_classes == 2:
-        w, b = _unpack_affine(spec, params)
-        pred = (data.features @ w + b >= 0.0).astype(np.int64)
-    else:
-        pred = np.argmax(_softmax_logits(spec, params, data.features), axis=1)
+    z = _forward(spec, params, data.features)[0]
+    pred = (z >= 0.0).astype(np.int64) if z.ndim == 1 else np.argmax(z, axis=1)
     return float(np.mean(pred == y))
 
 
@@ -403,8 +397,8 @@ def generate_synthetic(rng: RngStream, kind: str, input_dim: int, n_samples: int
         raise ValueError(f"synthetic data supports linear/logistic regression, not {kind!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if noise_level < 0:
-        raise ValueError("noise_level must be >= 0")
+    if not (math.isfinite(noise_level) and noise_level >= 0):
+        raise ValueError("noise_level must be finite and >= 0")
     gen = rng.generator
     x = gen.standard_normal((n_samples, input_dim))
     w = gen.standard_normal(input_dim)

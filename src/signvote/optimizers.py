@@ -42,8 +42,9 @@ class Schedule:
     decay_every: int = 30
 
     def __post_init__(self):
-        if self.decay_factor <= 0:
-            raise ValueError("decay_factor must be > 0")
+        # an infinite factor would zero the rate for good after the first decay
+        if not (math.isfinite(self.decay_factor) and self.decay_factor > 0):
+            raise ValueError("decay_factor must be finite and > 0")
         if self.decay_every < 1:
             raise ValueError("decay_every must be >= 1")
 
@@ -60,14 +61,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}, expected one of {RULES}")
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError("eta must be finite and > 0")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         if self.rule == "signsgd" and self.beta != 0.0:
             raise ValueError("signsgd requires beta = 0; use rule 'signum' for momentum")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

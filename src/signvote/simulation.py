@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 import warnings
 from dataclasses import MISSING, dataclass, field, replace
@@ -105,8 +106,8 @@ class SyntheticData:
             raise ValueError(f"synthetic data supports {SYNTHETIC_KINDS}, not {self.kind!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
+        if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise ValueError("noise_level must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,8 @@ class ExperimentConfig:
             raise ValueError("n_rounds must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         f = byzantine_count(self.adversary.alpha, self.n_workers)
         if f > 0:
             strategy = self.adversary.strategy
@@ -298,7 +301,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
                 elif strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
                     honest_sum = sum_signs(messages[:n_honest]) if n_honest else np.zeros(dim)
                     variant = "zeroing" if strategy == "byz-collude-zeroing" else "alternating"
-                    messages[n_honest:] = byz_collude_signs(honest_sum, f, variant)[0]
+                    messages[n_honest:] = byz_collude_signs(honest_sum, f, variant)
 
                 if sign_rule:
                     direction = server_aggregate_signs(messages)
@@ -411,18 +414,29 @@ def write_summary_json(record: RunRecord, path) -> None:
 
 # -- config <-> plain mapping ---------------------------------------------------
 
+
+def _int(value) -> int:
+    """An integer, or a string spelling one; floats and bools are rejected,
+    as their strings ("5.0", "True") already are."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 # Every key a run config may use: (section, key) -> (dataclass, field it fills,
 # parser).  Defaults live only in the dataclasses; a key whose field has none
 # is required.  [data] takes the keys of both sources, and ``source`` names the
 # class that fills ExperimentConfig.data (see _DATA_SOURCES).
 CONFIG_KEYS = {
     ("model", "kind"): (ModelSpec, "kind", str),
-    ("model", "input_dim"): (ModelSpec, "input_dim", int),
-    ("model", "hidden_dim"): (ModelSpec, "hidden_dim", int),
-    ("model", "num_classes"): (ModelSpec, "num_classes", int),
+    ("model", "input_dim"): (ModelSpec, "input_dim", _int),
+    ("model", "hidden_dim"): (ModelSpec, "hidden_dim", _int),
+    ("model", "num_classes"): (ModelSpec, "num_classes", _int),
     ("data", "source"): (ExperimentConfig, "data", str),
     ("data", "kind"): (SyntheticData, "kind", str),
-    ("data", "samples"): (SyntheticData, "n_samples", int),
+    ("data", "samples"): (SyntheticData, "n_samples", _int),
     ("data", "noise_level"): (SyntheticData, "noise_level", float),
     ("data", "images"): (IdxData, "images_path", str),
     ("data", "labels"): (IdxData, "labels_path", str),
@@ -430,15 +444,15 @@ CONFIG_KEYS = {
     ("optimizer", "eta"): (OptimizerConfig, "eta", float),
     ("optimizer", "beta"): (OptimizerConfig, "beta", float),
     ("optimizer", "weight_decay"): (OptimizerConfig, "weight_decay", float),
-    ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", int),
+    ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", _int),
     ("optimizer", "decay_factor"): (Schedule, "decay_factor", float),
-    ("optimizer", "decay_every"): (Schedule, "decay_every", int),
+    ("optimizer", "decay_every"): (Schedule, "decay_every", _int),
     ("adversary", "strategy"): (AdversaryConfig, "strategy", str),
     ("adversary", "alpha"): (AdversaryConfig, "alpha", float),
-    ("run", "workers"): (ExperimentConfig, "n_workers", int),
-    ("run", "rounds"): (ExperimentConfig, "n_rounds", int),
-    ("run", "seed"): (ExperimentConfig, "seed", int),
-    ("run", "eval_every"): (ExperimentConfig, "eval_every", int),
+    ("run", "workers"): (ExperimentConfig, "n_workers", _int),
+    ("run", "rounds"): (ExperimentConfig, "n_rounds", _int),
+    ("run", "seed"): (ExperimentConfig, "seed", _int),
+    ("run", "eval_every"): (ExperimentConfig, "eval_every", _int),
     ("run", "p_estimate"): (ExperimentConfig, "p_estimate", float),
     ("run", "out"): (ExperimentConfig, "out_dir", str),
 }
@@ -452,14 +466,19 @@ def parse_sections(mapping: dict, keys: dict) -> dict:
 
     ``keys`` maps every (section, key) the mapping may use to a tuple whose
     last item parses the value.  Returns ``{(section, key): parsed value}``
-    for the keys present.  An unknown section or key, or a value its parser
-    rejects, raises ValueError.
+    for the keys present.  A mapping or section body that is not a dict, an
+    unknown section or key, or a value its parser rejects, raises ValueError.
     """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"config must map sections to keys, got {type(mapping).__name__}")
     sections = {section for section, _ in keys}
     parsed = {}
     for section, body in mapping.items():
         if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
+        if not isinstance(body, dict):
+            raise ValueError(f"config section [{section}] must map keys to values, "
+                             f"got {type(body).__name__}")
         for key, raw in body.items():
             if (section, key) not in keys:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")

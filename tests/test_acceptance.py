@@ -183,12 +183,10 @@ def test_criterion_07_collusion_strategy_exactness():
         s_values = np.arange(-10, 11)
         for f in range(1, 7):
             for variant_name in ("zeroing", "alternating"):
-                messages, summed = byz_collude_signs(s_values, f, variant_name)
-                assert len(messages) == f
-                stacked = np.stack(messages)
-                assert np.isin(stacked, (-1, 0, 1)).all()
-                np.testing.assert_array_equal(stacked.sum(axis=0, dtype=np.int64), summed)
-                totals = s_values + summed
+                votes = byz_collude_signs(s_values, f, variant_name)
+                assert votes.shape == (f, s_values.size) and votes.dtype == np.int8
+                assert np.isin(votes, (-1, 0, 1)).all()
+                totals = s_values + votes.sum(axis=0, dtype=np.int64)
                 blocked = np.abs(s_values) > f
                 np.testing.assert_array_equal(
                     np.sign(totals[blocked]), np.sign(s_values[blocked])

@@ -319,6 +319,34 @@ class TestMisspeltConfig:
         assert not (tmp_path / "b").exists()
 
 
+class TestBadNumbers:
+    """Out-of-range seeds and non-finite knobs are config-invalid, not a traceback
+    or a run that reports divergence (or no noise) later."""
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "0", "--rules", "signsgd"]])
+    @pytest.mark.parametrize("seed_args", [["--set", "run.seed=-1"], ["--seed", "-1"],
+                                           ["--seed", str(2**64)],
+                                           ["--set", f"run.seed={2**64}"]])
+    def test_seed_out_of_range(self, tmp_path, capsys, command, seed_args):
+        cfg = write_quick_config(tmp_path)
+        code, payload = run_cli(capsys, command[0], "--config", cfg,
+                                "--out", str(tmp_path / "x"), *command[1:], *seed_args)
+        assert (code, payload["error"]) == (2, "config-invalid")
+        assert "seed must be an unsigned 64-bit integer" in payload["message"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("override", ["optimizer.eta=nan", "optimizer.weight_decay=nan",
+                                          "optimizer.decay_factor=nan",
+                                          "optimizer.decay_factor=inf", "data.noise_level=nan"])
+    def test_non_finite_value(self, tmp_path, capsys, override):
+        cfg = write_quick_config(tmp_path)
+        code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"),
+                                "--set", override)
+        assert (code, payload["error"]) == (2, "config-invalid")
+        key = override.split(".")[1].split("=")[0]
+        assert payload["message"].startswith(f"{key} must be finite")
+
+
 class TestReport:
     @staticmethod
     def make_runs(tmp_path, capsys, n=2):
@@ -390,6 +418,25 @@ class TestReport:
         assert f"warning: skipping {dirs[0]}: '{drop}'" in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
         assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[1] == "0.2"
+
+    @pytest.mark.parametrize("shape", ["config-list", "section-list", "summary-list"])
+    def test_summary_of_wrong_shape_skipped_with_warning(self, tmp_path, capsys, shape):
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        summary = Path(dirs[0]) / "summary.json"
+        payload = json.loads(summary.read_text())
+        if shape == "config-list":
+            payload["config"] = ["x"]
+        elif shape == "section-list":
+            payload["config"]["run"] = ["x"]
+        else:
+            payload = [payload]
+        summary.write_text(json.dumps(payload))
+        code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert f"warning: skipping {dirs[0]}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 
     def test_all_malformed_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "broken"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,17 @@ class TestOptimizerConfig:
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown rule"):
             OptimizerConfig("adam", eta=0.1)
+
+    @pytest.mark.parametrize("field", ["eta", "weight_decay", "decay_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        # NaN passes a bare `x <= 0` check; an infinite decay factor would zero the
+        # rate for good after the first decay, so it is rejected too
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            if field == "decay_factor":
+                Schedule(decay_factor=value)
+            else:
+                OptimizerConfig("signum", **{"eta": 0.1, field: value})
 
 
 class TestAggregationPermutationInvariance:

@@ -411,10 +411,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown strategy"):
             AdversaryConfig("sybil", 0.1)
 
+    def test_seed_is_an_unsigned_64_bit_integer(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+                make_config(seed=seed)
+        assert make_config(seed=2**64 - 1).seed == 2**64 - 1
+
     @pytest.mark.parametrize("kw,match", [
         ({"kind": "logistic-regression", "n_samples": 0}, "n_samples"),
         ({"kind": "linear-regression", "n_samples": 10, "noise_level": -0.1}, "noise_level"),
         ({"kind": "mlp", "n_samples": 10}, "synthetic data supports"),
+        ({"kind": "linear-regression", "n_samples": 10, "noise_level": math.nan}, "noise_level"),
+        ({"kind": "linear-regression", "n_samples": 10, "noise_level": math.inf}, "noise_level"),
     ])
     def test_synthetic_data_rejected_at_construction(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -556,10 +564,32 @@ class TestConfigMapping:
         ("optimizer", "bata", "0.5", "unknown config key 'bata' in section [optimizer]"),
         ("data", "samples", "many", "bad value for config key 'samples': 'many'"),
         ("data", "source", "csv", "unknown data source 'csv' (expected 'synthetic' or 'idx')"),
+        # integer keys take no typed float or bool, as their strings are rejected too
+        ("run", "workers", 5.7, "bad value for config key 'workers': 5.7"),
+        ("run", "workers", 5.0, "bad value for config key 'workers': 5.0"),
+        ("run", "rounds", True, "bad value for config key 'rounds': True"),
+        ("optimizer", "batch_size", "16.0", "bad value for config key 'batch_size': '16.0'"),
+        ("model", "input_dim", [20], "bad value for config key 'input_dim': [20]"),
     ])
     def test_bad_entry_rejected(self, section, key, value, message):
         mapping = bundled_mapping("logistic_blind")
         mapping.setdefault(section, {})[key] = value
+        with pytest.raises(ValueError) as exc:
+            config_from_mapping(mapping)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [7, "7", " 7 ", np.int64(7)])
+    def test_int_keys_take_integers(self, value):
+        mapping = bundled_mapping("logistic_blind")
+        mapping["run"]["workers"] = value
+        cfg = config_from_mapping(mapping)
+        assert cfg.n_workers == 7 and type(cfg.n_workers) is int
+
+    @pytest.mark.parametrize("mapping, message", [
+        (["x"], "config must map sections to keys, got list"),
+        ({"run": ["x"]}, "config section [run] must map keys to values, got list"),
+    ])
+    def test_non_dict_mapping_rejected(self, mapping, message):
         with pytest.raises(ValueError) as exc:
             config_from_mapping(mapping)
         assert str(exc.value) == message
