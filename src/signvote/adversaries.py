@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_vector, check_finite, sequential_sum, sign
+from .core import as_vector, sequential_sum, sign
 
 __all__ = [
     "COLLUDE_VARIANTS",
@@ -109,7 +109,7 @@ def byz_inverse_sum(honest, f: int) -> np.ndarray:
     """Gradient-cancelling attack on mean aggregation.
 
     Takes the (H, d) block of observed honest gradients (H may be 0) and
-    returns an (f, d) block: the negated left-to-right sum of the honest
+    returns an (f, d) block: zero minus the left-to-right sum of the honest
     rows, then f - 1 zero rows.  The server sums messages in the same order
     with honest ones first, so the mean over all workers is the exact zero
     vector, bit for bit, and the round's update is a no-op (weight decay aside).
@@ -120,7 +120,7 @@ def byz_inverse_sum(honest, f: int) -> np.ndarray:
     if block.ndim != 2:
         raise ValueError(f"honest gradients must be an (H, d) array, got shape {block.shape}")
     attack = np.zeros((f, block.shape[1]))
-    attack[0] = -sequential_sum(block) if len(block) else 0.0
+    attack[0] -= sequential_sum(block)
     return attack
 
 
@@ -133,6 +133,4 @@ def byz_oppose_true_sign(true_grad, f: int) -> np.ndarray:
     """
     if f < 1:
         raise ValueError("oppose-true-sign needs f >= 1 adversaries")
-    g = as_vector(true_grad, "true gradient")
-    check_finite(g, "true gradient")
-    return np.repeat(-sign(g)[None, :], f, axis=0)
+    return np.repeat(-sign(true_grad, "true gradient")[None, :], f, axis=0)

@@ -1,11 +1,11 @@
 """Vector primitives, the exact-zero sign operation, and reproducible random streams.
 
 Workers and server exchange two kinds of values: dense float64 vectors and
-sign vectors with entries in {-1, 0, +1}.  Both are plain numpy arrays; the
-helpers here validate them and pin down the one convention everything else
-leans on: the sign of an exact floating-point zero is 0, compared with no
-epsilon.  Vote ties and the sign-cancelling collusion attack are only well
-defined because sign sums are integers that can cancel to exactly zero.
+sign vectors with entries in {-1, 0, +1}, as plain numpy arrays, many
+messages as one (rows, d) block.  The helpers here validate them and pin down
+the one convention everything else leans on: the sign of an exact zero is 0,
+compared with no epsilon.  Vote ties and the sign-cancelling collusion attack
+are only well defined because sign sums are int64 and cancel to exactly zero.
 """
 
 from __future__ import annotations
@@ -66,34 +66,34 @@ def as_signs(values, name: str = "sign vector") -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
-def sign(values) -> np.ndarray:
+def sign(values, name: str = "sign input") -> np.ndarray:
     """Coordinate-wise sign with sign(0) == 0 exactly.
 
     Returns an int8 array over {-1, 0, +1}.  Zero is matched exactly, not
     within a tolerance: a tied majority vote must broadcast 0 and leave the
     corresponding parameter untouched.
     """
-    arr = as_vector(values, "sign input")
-    check_finite(arr, "sign input")
+    arr = as_vector(values, name)
+    check_finite(arr, name)
     return np.sign(arr).astype(np.int8)
 
 
-def sum_signs(signs) -> np.ndarray:
-    """Coordinate-wise sum of sign vectors, accumulated in integers.
+def sum_signs(block) -> np.ndarray:
+    """Coordinate-wise int64 sum of a (rows, d) block of sign vectors.
 
-    The result is exposed as a float64 vector so it can flow through
-    :func:`sign` and the update rules unchanged, but the arithmetic is exact
-    int64 addition, so the order in which rows are added cannot change the
-    result (no rounding for any realistic worker count).
+    Each row is one message and is checked by :func:`as_signs`.  The addition
+    is exact integer arithmetic, so the order of the rows cannot change the
+    result, and a (0, d) block sums to zeros.
     """
-    rows = [as_signs(s) for s in signs]
-    if not rows:
-        raise ValueError("sum_signs needs at least one sign vector")
-    dim = rows[0].size
-    for row in rows:
-        if row.size != dim:
-            raise ValueError(f"sign vector length mismatch: {row.size} != {dim}")
-    return np.stack(rows).sum(axis=0, dtype=np.int64).astype(np.float64)
+    try:
+        block = np.asarray(block)
+    except ValueError:
+        raise ValueError("sign vector length mismatch between rows") from None
+    if block.ndim != 2:
+        raise ValueError(f"sum_signs needs at least one sign vector, got shape {block.shape}")
+    for row in block:
+        as_signs(row)
+    return block.sum(axis=0, dtype=np.int64)
 
 
 def l1_norm(values) -> float:
@@ -103,23 +103,21 @@ def l1_norm(values) -> float:
     return float(np.abs(arr).sum())
 
 
-def sequential_sum(vectors) -> np.ndarray:
-    """Strict left-to-right sum of equal-length vectors.
+def sequential_sum(block) -> np.ndarray:
+    """Strict left-to-right sum of the rows of a (rows, d) float64 block.
 
     Floating-point addition is order sensitive.  Fixing the order lets an
     omniscient attacker reproduce the server's partial sums bit for bit, so
     the gradient-cancelling attack zeroes the aggregate exactly rather than
     merely approximately.  Both sides of that exchange must use this helper.
+    A (0, d) block sums to zeros; otherwise row 0 is copied, keeping its -0.0.
     """
-    arrays = [as_vector(v) for v in vectors]
-    if not arrays:
-        raise ValueError("sequential_sum needs at least one vector")
-    dim = arrays[0].size
-    total = arrays[0].copy()
-    for arr in arrays[1:]:
-        if arr.size != dim:
-            raise ValueError(f"vector length mismatch: {arr.size} != {dim}")
-        total += arr
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError(f"sequential_sum needs a (rows, d) block, got shape {block.shape}")
+    total = block[0].copy() if len(block) else np.zeros(block.shape[1])
+    for row in block[1:]:
+        total += row
     return total
 
 

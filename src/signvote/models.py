@@ -18,13 +18,15 @@ binary models, one per class otherwise) and the MLP's hidden layer; :func:`loss`
 :func:`grad` and :func:`accuracy` then differ only in the loss family (squared
 error, sigmoid cross-entropy or softmax), and the MLP gradient reuses that layer.
 
-All losses are means over the batch and non-negative, so zero is always a
-valid lower bound on the objective.
+A batch is a 1-D int64 array of sample indices (:func:`sample_batch`,
+:func:`full_batch`).  All losses are means over the batch and non-negative,
+so zero is always a valid lower bound on the objective.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -34,7 +36,6 @@ from .core import RngStream, as_vector
 
 __all__ = [
     "BadMagicError",
-    "Batch",
     "CountMismatchError",
     "Dataset",
     "IdxFormatError",
@@ -72,18 +73,18 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
-        if self.input_dim < 1:
+        if operator.index(self.input_dim) < 1:
             raise ValueError("input_dim must be >= 1")
         if self.kind == "linear-regression":
             if self.num_classes is not None:
                 raise ValueError("linear-regression takes no num_classes")
         else:
-            if self.num_classes is None or self.num_classes < 2:
+            if self.num_classes is None or operator.index(self.num_classes) < 2:
                 raise ValueError(f"{self.kind} needs num_classes >= 2")
         if self.kind == "mlp":
             if self.hidden_dim is None:
                 object.__setattr__(self, "hidden_dim", DEFAULT_HIDDEN_DIM)
-            if self.hidden_dim < 1:
+            if operator.index(self.hidden_dim) < 1:
                 raise ValueError("hidden_dim must be >= 1")
         elif self.hidden_dim is not None:
             raise ValueError(f"{self.kind} takes no hidden_dim")
@@ -144,37 +145,18 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Sample indices into a dataset, drawn with replacement."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64)
-        if indices.ndim != 1 or indices.size < 1:
-            raise ValueError("batch needs at least one index")
-        if np.minimum.reduce(indices) < 0:
-            raise ValueError("batch indices must be non-negative")
-        object.__setattr__(self, "indices", indices)
-
-    @property
-    def n(self) -> int:
-        return self.indices.size
+def full_batch(data: Dataset) -> np.ndarray:
+    """The whole dataset as one batch: the int64 indices 0 .. n_samples - 1."""
+    return np.arange(data.n_samples, dtype=np.int64)
 
 
-def full_batch(data: Dataset) -> Batch:
-    """The whole dataset as one batch."""
-    return Batch(np.arange(data.n_samples, dtype=np.int64))
-
-
-def sample_batch(rng: RngStream, n_data: int, n: int) -> Batch:
-    """Draw n indices uniformly with replacement from [0, n_data)."""
+def sample_batch(rng: RngStream, n_data: int, n: int) -> np.ndarray:
+    """Draw n int64 indices uniformly with replacement from [0, n_data)."""
     if n < 1:
         raise ValueError("batch size must be >= 1")
     if n_data < 1:
         raise ValueError("n_data must be >= 1")
-    return Batch(rng.generator.integers(0, n_data, size=n, dtype=np.int64))
+    return rng.generator.integers(0, n_data, size=n, dtype=np.int64)
 
 
 # -- parameter packing --------------------------------------------------------
@@ -204,14 +186,23 @@ def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
     return params[:o1].reshape(h, d), params[o1:o2], params[o2:o3].reshape(c, h), params[o3:]
 
 
-def _batch_rows(spec: ModelSpec, data: Dataset, batch: Batch):
-    """Feature rows and labels of the batch; class labels are range-checked."""
+def _features(spec: ModelSpec, data: Dataset) -> np.ndarray:
+    """The dataset's feature matrix, once its width is checked against the model."""
     if data.input_dim != spec.input_dim:
         raise ValueError(f"dataset input_dim {data.input_dim} != spec input_dim {spec.input_dim}")
-    idx = batch.indices
+    return data.features
+
+
+def _batch_rows(spec: ModelSpec, data: Dataset, batch):
+    """Feature rows and labels of a batch; indices and class labels are checked."""
+    idx = np.asarray(batch)
+    if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
+        raise ValueError(f"batch must be non-empty 1-D int indices, got {idx.dtype} {idx.shape}")
+    if np.minimum.reduce(idx) < 0:
+        raise ValueError("batch indices must be non-negative")
     try:
         # take gathers rows faster than fancy indexing and bounds-checks the same way
-        x, y = data.features.take(idx, axis=0), data.labels[idx]
+        x, y = _features(spec, data).take(idx, axis=0), data.labels[idx]
     except IndexError:
         raise ValueError(
             f"batch index {int(idx.max())} out of range for {data.n_samples} samples"
@@ -289,7 +280,7 @@ def initial_params(spec: ModelSpec, rng: RngStream | None = None) -> np.ndarray:
     return params
 
 
-def loss(spec: ModelSpec, params, data: Dataset, batch: Batch) -> float:
+def loss(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> float:
     """Mean per-sample loss over the batch (squared error or cross-entropy)."""
     params = _check_params(spec, params)
     x, y = _batch_rows(spec, data, batch)
@@ -306,11 +297,11 @@ def loss(spec: ModelSpec, params, data: Dataset, batch: Batch) -> float:
     return float(np.mean(lse - z[np.arange(y.size), y]))
 
 
-def grad(spec: ModelSpec, params, data: Dataset, batch: Batch) -> np.ndarray:
+def grad(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`loss` with respect to the flat params."""
     params = _check_params(spec, params)
     x, y = _batch_rows(spec, data, batch)
-    n = batch.n
+    n = y.size
     z, hidden = _forward(spec, params, x)
     if not spec.is_classification:
         r = z - y
@@ -346,7 +337,7 @@ def accuracy(spec: ModelSpec, params, data: Dataset) -> float:
         raise ValueError("accuracy requires a classification model")
     params = _check_params(spec, params)
     y = _class_labels(spec, data.labels)
-    z = _forward(spec, params, data.features)[0]
+    z = _forward(spec, params, _features(spec, data))[0]
     pred = (z >= 0.0).astype(np.int64) if z.ndim == 1 else np.argmax(z, axis=1)
     return float(np.mean(pred == y))
 
@@ -354,7 +345,7 @@ def accuracy(spec: ModelSpec, params, data: Dataset) -> float:
 # -- oracles -------------------------------------------------------------------
 
 
-def finite_difference_grad(spec: ModelSpec, params, data: Dataset, batch: Batch,
+def finite_difference_grad(spec: ModelSpec, params, data: Dataset, batch: np.ndarray,
                            step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient; the independent yardstick for :func:`grad`."""
     base = _check_params(spec, params).copy()
@@ -370,7 +361,7 @@ def finite_difference_grad(spec: ModelSpec, params, data: Dataset, batch: Batch,
     return out
 
 
-def max_relative_grad_error(spec: ModelSpec, params, data: Dataset, batch: Batch,
+def max_relative_grad_error(spec: ModelSpec, params, data: Dataset, batch: np.ndarray,
                             step: float = 1e-6) -> float:
     """Max-norm gap between analytic and central-difference gradients,
     relative to the gradient's own scale (floored at 1e-8)."""

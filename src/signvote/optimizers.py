@@ -11,6 +11,7 @@ vote whose exact ties broadcast 0 and freeze the coordinate for the round.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ class Schedule:
         # an infinite factor would zero the rate for good after the first decay
         if not (math.isfinite(self.decay_factor) and self.decay_factor > 0):
             raise ValueError("decay_factor must be finite and > 0")
-        if self.decay_every < 1:
+        if operator.index(self.decay_every) < 1:
             raise ValueError("decay_every must be >= 1")
 
 
@@ -65,11 +66,11 @@ class OptimizerConfig:
             raise ValueError("eta must be finite and > 0")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        if self.rule == "signsgd" and self.beta != 0.0:
-            raise ValueError("signsgd requires beta = 0; use rule 'signum' for momentum")
+        if self.rule != "signum" and self.beta != 0.0:
+            raise ValueError(f"{self.rule} requires beta = 0; use rule 'signum' for momentum")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and >= 0")
-        if self.batch_size < 1:
+        if operator.index(self.batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
 
 

@@ -104,7 +104,7 @@ class SyntheticData:
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise ValueError(f"synthetic data supports {SYNTHETIC_KINDS}, not {self.kind!r}")
-        if self.n_samples < 1:
+        if operator.index(self.n_samples) < 1:
             raise ValueError("n_samples must be >= 1")
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
             raise ValueError("noise_level must be finite and >= 0")
@@ -146,13 +146,13 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.n_workers < 1:
+        if operator.index(self.n_workers) < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.n_rounds < 1:
+        if operator.index(self.n_rounds) < 1:
             raise ValueError("n_rounds must be >= 1")
-        if self.eval_every < 1:
+        if operator.index(self.eval_every) < 1:
             raise ValueError("eval_every must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         f = byzantine_count(self.adversary.alpha, self.n_workers)
         if f > 0:
@@ -299,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
                 elif strategy == "byz-oppose-true-sign":
                     messages[n_honest:] = byz_oppose_true_sign(true_grad, f)
                 elif strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
-                    honest_sum = sum_signs(messages[:n_honest]) if n_honest else np.zeros(dim)
+                    honest_sum = sum_signs(messages[:n_honest])
                     variant = "zeroing" if strategy == "byz-collude-zeroing" else "alternating"
                     messages[n_honest:] = byz_collude_signs(honest_sum, f, variant)
 
@@ -314,9 +314,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
                 raise DivergedError(t + 1)
 
             if eval_now:
-                dense = np.asarray(direction, dtype=np.float64)
-                agreement = float(np.mean(np.sign(dense) == np.sign(true_grad)))
-                zero_frac = float(np.mean(dense == 0.0))
+                agreement = float(np.mean(np.sign(direction) == np.sign(true_grad)))
+                zero_frac = float(np.mean(direction == 0))
                 metrics.append(evaluate(t + 1, effective_eta(opt, t), agreement, zero_frac))
 
     return RunRecord(cfg, metrics, x, time.perf_counter() - t_start)

@@ -50,8 +50,8 @@ class TestSign:
 class TestSumSigns:
     def test_hand_sum(self):
         total = sum_signs([[1, 1], [1, -1], [-1, -1]])
-        np.testing.assert_array_equal(total, [1.0, -1.0])
-        assert total.dtype == np.float64
+        np.testing.assert_array_equal(total, [1, -1])
+        assert total.dtype == np.int64
 
     def test_single_vector_identity(self):
         np.testing.assert_array_equal(sum_signs([[1, 0, -1]]), [1.0, 0.0, -1.0])

@@ -13,7 +13,6 @@ from scipy.special import expit
 from signvote.core import RngStream
 from signvote.models import (
     BadMagicError,
-    Batch,
     CountMismatchError,
     IdxFormatError,
     Dataset,
@@ -54,7 +53,7 @@ def naive_loss(spec: ModelSpec, params, data, batch):
     """Per-sample reimplementation with scalar loops, no shared code paths."""
     params = np.asarray(params, dtype=float)
     total = 0.0
-    for idx in batch.indices:
+    for idx in batch:
         x = data.features[idx]
         y = data.labels[idx]
         if spec.kind == "linear-regression":
@@ -70,7 +69,7 @@ def naive_loss(spec: ModelSpec, params, data, batch):
             logits = _naive_logits(spec, params, x)
             exps = [math.exp(z) for z in logits]
             total += -math.log(exps[int(y)] / sum(exps))
-    return total / batch.n
+    return total / len(batch)
 
 
 def _naive_logits(spec, params, x):
@@ -104,7 +103,7 @@ class TestLoss:
         data = small_dataset(spec)
         rng = np.random.default_rng(7)
         params = 0.5 * rng.standard_normal(spec.param_dim)
-        batch = Batch(np.array([0, 3, 7]))
+        batch = np.array([0, 3, 7])
         assert loss(spec, params, data, batch) == pytest.approx(
             naive_loss(spec, params, data, batch), rel=1e-10
         )
@@ -142,7 +141,7 @@ class TestLoss:
     @pytest.mark.parametrize("spec", [LINEAR, LOGISTIC, MLP], ids=str)
     def test_out_of_range_batch_index_rejected(self, spec):
         data = small_dataset(spec)
-        batch = Batch(np.array([0, data.n_samples, 3]))
+        batch = np.array([0, data.n_samples, 3])
         for fn in (loss, grad):
             with pytest.raises(ValueError, match="batch index 12 out of range for 12 samples"):
                 fn(spec, np.zeros(spec.param_dim), data, batch)
@@ -214,7 +213,7 @@ class TestGrad:
     def test_matches_finite_differences(self, spec):
         data = small_dataset(spec)
         rng = np.random.default_rng(9)
-        batch = Batch(rng.integers(0, data.n_samples, size=6))
+        batch = rng.integers(0, data.n_samples, size=6)
         for _ in range(5):
             params = rng.standard_normal(spec.param_dim)
             assert max_relative_grad_error(spec, params, data, batch) < 1e-5
@@ -232,7 +231,7 @@ class TestGrad:
         params = 0.3 * np.random.default_rng(10).standard_normal(spec.param_dim)
         full = grad(spec, params, data, full_batch(data))
         per_sample = [
-            grad(spec, params, data, Batch(np.array([i]))) for i in range(data.n_samples)
+            grad(spec, params, data, np.array([i])) for i in range(data.n_samples)
         ]
         mean = np.mean(per_sample, axis=0)
         scale = max(np.abs(full).max(), 1e-12)
@@ -254,12 +253,12 @@ class TestSampleBatch:
     def test_single_sample_dataset(self):
         for _ in range(5):
             batch = sample_batch(RngStream(1, 2), 1, 1)
-            assert batch.indices.tolist() == [0]
+            assert batch.tolist() == [0]
 
     def test_deterministic_sequence(self):
         a_stream, b_stream = RngStream(42, 7), RngStream(42, 7)
-        a = [sample_batch(a_stream, 100, 8).indices for _ in range(10)]
-        b = [sample_batch(b_stream, 100, 8).indices for _ in range(10)]
+        a = [sample_batch(a_stream, 100, 8) for _ in range(10)]
+        b = [sample_batch(b_stream, 100, 8) for _ in range(10)]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
         # consecutive draws from one stream differ
@@ -267,7 +266,7 @@ class TestSampleBatch:
 
     def test_uniform_within_3_sigma(self):
         n_data, draws = 20, 100_000
-        idx = sample_batch(RngStream(2024, 0), n_data, draws).indices
+        idx = sample_batch(RngStream(2024, 0), n_data, draws)
         counts = np.bincount(idx, minlength=n_data)
         expected = draws / n_data
         sigma = math.sqrt(draws * (1 / n_data) * (1 - 1 / n_data))
@@ -310,6 +309,13 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="classification"):
             accuracy(LINEAR, np.zeros(LINEAR.param_dim), data)
 
+    @pytest.mark.parametrize("spec", [LOGISTIC, SOFTMAX, MLP], ids=str)
+    def test_input_width_mismatch_rejected(self, spec):
+        # 3 features against a 4-input model, as loss and grad already report it
+        data = Dataset(np.zeros((5, 3)), np.array([0, 1, 0, 1, 1]))
+        with pytest.raises(ValueError, match="dataset input_dim 3 != spec input_dim 4"):
+            accuracy(spec, np.zeros(spec.param_dim), data)
+
 
 # -- recorded bytes ---------------------------------------------------------------------
 
@@ -346,7 +352,7 @@ BYTE_SPECS = {"linear": LINEAR, "logistic": LOGISTIC, "softmax": SOFTMAX, "mlp":
 def model_outputs(spec: ModelSpec) -> dict:
     data = small_dataset(spec, n=40, seed=21)
     params = 1.5 * np.random.default_rng(22).standard_normal(spec.param_dim)
-    batch = Batch(np.array([0, 5, 5, 17, 39, 2, 28]))
+    batch = np.array([0, 5, 5, 17, 39, 2, 28])
     out = {"loss": loss(spec, params, data, batch), "grad": grad(spec, params, data, batch)}
     if spec.is_classification:
         out["accuracy"] = accuracy(spec, params, data)
@@ -467,6 +473,13 @@ class TestModelSpec:
             ModelSpec("logistic-regression", 4)
         with pytest.raises(ValueError):
             ModelSpec("logistic-regression", 4, num_classes=2, hidden_dim=8)
+
+    @pytest.mark.parametrize("field", ["input_dim", "hidden_dim", "num_classes"])
+    def test_integer_fields_reject_floats(self, field):
+        kw = {"kind": "mlp", "input_dim": 4, "hidden_dim": 5, "num_classes": 3}
+        assert ModelSpec(**{**kw, field: np.int64(kw[field])}) == ModelSpec(**kw)
+        with pytest.raises(TypeError):
+            ModelSpec(**{**kw, field: float(kw[field])})
 
 
 class TestInitialParams:

@@ -181,6 +181,20 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="signsgd requires beta = 0"):
             OptimizerConfig("signsgd", eta=0.1, beta=0.5)
 
+    def test_dist_sgd_with_momentum_rejected(self):
+        # dist-sgd sends the raw estimate, so a momentum setting would have no effect
+        with pytest.raises(ValueError, match="dist-sgd requires beta = 0"):
+            OptimizerConfig("dist-sgd", eta=0.1, beta=0.9)
+        assert OptimizerConfig("dist-sgd", eta=0.1, beta=0.0).beta == 0.0
+
+    @pytest.mark.parametrize("field", ["batch_size", "decay_every"])
+    def test_integer_fields_reject_floats(self, field):
+        with pytest.raises(TypeError):
+            if field == "decay_every":
+                Schedule(decay_every=30.0)
+            else:
+                OptimizerConfig("signum", eta=0.1, batch_size=32.0)
+
     def test_signum_momentum_allowed(self):
         assert OptimizerConfig("signum", eta=0.1, beta=0.9).beta == 0.9
 

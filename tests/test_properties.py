@@ -1,9 +1,10 @@
-"""Property tests for the sign-message check, the integer sign sum, the vote
-and the momentum update.
+"""Property tests for the sign-message check, the integer sign sum, the vote,
+the momentum update, the two omniscient attacks and the batch check.
 
 Each property compares the library with a plain reference kept here: the
 ``np.isin`` membership check, a per-row int64 loop, a per-coordinate count of
-+1 and -1 votes, and the textbook momentum expression.
++1 and -1 votes, the textbook momentum expression, and the outcomes the
+attacks promise (a zeroed or flipped vote, an exactly zero mean).
 """
 
 import math
@@ -14,8 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from signvote.adversaries import byz_collude_signs, byz_inverse_sum
 from signvote.core import as_signs, sum_signs
-from signvote.optimizers import OptimizerConfig, server_aggregate_signs, worker_message
+from signvote.models import Dataset, ModelSpec, grad, loss, max_relative_grad_error
+from signvote.optimizers import (
+    OptimizerConfig,
+    server_aggregate_sgd,
+    server_aggregate_signs,
+    worker_message,
+)
 
 DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int64, np.uint8, np.bool_, np.float64)))
 SIGNED_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int64, np.float64)))
@@ -114,7 +122,7 @@ class TestSumSignsProperties:
         for row in rows:
             expected += row.astype(np.int64)
         got = sum_signs(rows)
-        assert got.dtype == np.float64
+        assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected)
 
     @SETTINGS
@@ -147,6 +155,7 @@ class TestWorkerMessageProperties:
            st.sampled_from(("signum", "dist-sgd")))
     def test_momentum_matches_textbook_expression(self, data, dim, beta, rule):
         """The in-place update gives the bits of ``(1 - beta) g + beta v``."""
+        beta = beta if rule == "signum" else 0.0  # dist-sgd rejects momentum
         floats = hnp.arrays(np.float64, dim, elements=st.floats(allow_nan=True, allow_infinity=True))
         momentum, g = data.draw(floats), data.draw(floats)
         with np.errstate(all="ignore"):
@@ -159,3 +168,69 @@ class TestWorkerMessageProperties:
         np.testing.assert_array_equal(np.isnan(momentum), nan)
         np.testing.assert_array_equal(momentum[~nan].view(np.uint64),
                                       expected[~nan].view(np.uint64))
+
+
+class TestAttackProperties:
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.data(), st.integers(0, 30))
+    def test_zeroing_collusion_outcomes(self, seed, workers, data, dim):
+        """Against an honest sum s, f zeroing colluders leave s - f sign(s) when
+        |s| > f, else 0 when f - |s| is even and -sign(s) (-1 at s = 0) when odd."""
+        f = data.draw(st.integers(1, workers))
+        rng = np.random.default_rng(seed)
+        honest = rng.integers(-1, 2, size=(workers - f, dim)).astype(np.int8)
+        s = sum_signs(honest)
+        votes = byz_collude_signs(s, f, "zeroing")
+        assert votes.shape == (f, dim) and votes.dtype == np.int8
+        total = s + votes.sum(axis=0, dtype=np.int64)
+        for j in range(dim):
+            sj = int(s[j])
+            direction = 1 if sj > 0 else -1 if sj < 0 else 0
+            if abs(sj) > f:
+                assert total[j] == sj - f * direction
+            elif (f - abs(sj)) % 2 == 0:
+                assert total[j] == 0
+            else:
+                assert total[j] == (-direction if sj else -1)
+
+    @SETTINGS
+    @given(st.integers(1, 12), st.integers(0, 20), st.data())
+    def test_inverse_sum_zeroes_the_mean(self, workers, dim, data):
+        """Honest rows, then the attack block, through the server's mean: the
+        result is exactly zero for any magnitudes, with no honest worker too."""
+        f = data.draw(st.integers(1, workers))
+        values = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+        honest = data.draw(hnp.arrays(np.float64, (workers - f, dim), elements=values))
+        messages = np.concatenate([honest, byz_inverse_sum(honest, f)])
+        assert messages.shape == (workers, dim)
+        mean = server_aggregate_sgd(messages)
+        assert np.all(mean == 0.0)
+
+
+BATCH_SPEC = ModelSpec("logistic-regression", 3, num_classes=2)
+BATCH_DATA = Dataset(np.arange(12.0).reshape(4, 3) / 12.0, np.array([0, 1, 1, 0]))
+
+
+def bad_batches():
+    """Index arrays the models must refuse: a negative index, no index, two
+    dimensions, or a non-integer dtype (integral floats and bools included)."""
+    indices = st.integers(0, BATCH_DATA.n_samples - 1)
+    negative = st.tuples(st.lists(indices, max_size=4), st.integers(-2**62, -1)).map(
+        lambda t: np.array(t[0] + [t[1]], dtype=np.int64))
+    empty = st.sampled_from([np.array([], dtype=np.int64), np.zeros(0), []])
+    two_d = hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=3),
+                       elements=indices)
+    non_integer = st.one_of(
+        hnp.arrays(st.sampled_from([np.float64, np.float32]), st.integers(1, 5),
+                   elements=st.integers(0, BATCH_DATA.n_samples - 1).map(float)),
+        hnp.arrays(np.bool_, st.integers(1, 5)),
+    )
+    return st.one_of(negative, empty, two_d, non_integer)
+
+
+class TestBatchRejectionProperties:
+    @SETTINGS
+    @given(bad_batches(), st.sampled_from([grad, loss, max_relative_grad_error]))
+    def test_bad_batch_rejected(self, batch, fn):
+        with pytest.raises(ValueError, match="batch"):
+            fn(BATCH_SPEC, np.zeros(BATCH_SPEC.param_dim), BATCH_DATA, batch)

@@ -178,7 +178,7 @@ class TestAgainstNaiveReference:
         data = load_data(cfg)
         x = np.zeros(cfg.model.param_dim)
         streams = [RngStream(cfg.seed, m) for m in range(cfg.n_workers)]
-        from signvote.models import Batch, grad
+        from signvote.models import grad
 
         for t in range(cfg.n_rounds):
             votes = np.zeros(x.size)
@@ -186,7 +186,7 @@ class TestAgainstNaiveReference:
                 idx = streams[m].generator.integers(
                     0, data.n_samples, size=cfg.optimizer.batch_size, dtype=np.int64
                 )
-                g = grad(cfg.model, x, data, Batch(idx))
+                g = grad(cfg.model, x, data, idx)
                 votes += np.sign(g)
             direction = np.sign(votes)
             eta_t = cfg.optimizer.eta / 10.0 ** (t // 30)
@@ -427,6 +427,18 @@ class TestConfigValidation:
     def test_synthetic_data_rejected_at_construction(self, kw, match):
         with pytest.raises(ValueError, match=match):
             SyntheticData(**kw)
+
+    @pytest.mark.parametrize("field", ["n_workers", "n_rounds", "eval_every", "seed"])
+    def test_integer_fields_reject_floats(self, field):
+        # a float must fail here, not later in the round loop's range()
+        base = make_config()
+        dataclasses.replace(base, **{field: np.int64(getattr(base, field))})  # numpy ints pass
+        with pytest.raises(TypeError):
+            dataclasses.replace(base, **{field: float(getattr(base, field))})
+
+    def test_synthetic_sample_count_rejects_floats(self):
+        with pytest.raises(TypeError):
+            SyntheticData(kind="logistic-regression", n_samples=200.0)
 
     def test_synthetic_data_fields_are_keyword_only(self):
         # a (kind, input_dim, n_samples) call must fail, not take 20 as the sample count
@@ -733,3 +745,85 @@ class TestCallStructure:
         # colluders read the honest sum (M - f messages), the server all M
         assert counts["as_signs"] == rounds * (workers + (workers - f))
         assert counts["grad"] == rounds * (workers - f) + evals
+
+    @pytest.mark.parametrize("name,strategy", [
+        ("logistic_byzantine", "byz-collude-zeroing"),
+        ("sgd_inverse_sum", "byz-inverse-sum"),
+        ("logistic_byzantine", "byz-oppose-true-sign"),
+    ])
+    def test_every_traced_count_on_its_closed_form(self, monkeypatch, name, strategy):
+        """Each per-round layer runs as often as the benchmark's closed forms say.
+
+        A gradient counts as full when its batch is an object that
+        ``full_batch`` returned, the way the tracer tells evaluation from
+        worker work; every other gradient is a sampled one.
+        """
+        import signvote.core
+        import signvote.simulation
+
+        mapping = bundled_mapping(name)
+        mapping["adversary"]["strategy"] = strategy
+        mapping["run"].update(rounds="10", eval_every="4")
+        cfg = config_from_mapping(mapping)
+        counts = dict.fromkeys(("as_signs", "sample_batch", "worker_message", "server_aggregate",
+                                "grad.worker", "grad.full"), 0)
+        full_batches = []
+
+        def counting(module, attr, key):
+            fn = getattr(module, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[key(*args, **kwargs) if callable(key) else key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, attr, wrapper)
+
+        def grad_kind(spec, params, data, batch):
+            return "grad.full" if any(batch is b for b in full_batches) else "grad.worker"
+
+        def recording_full_batch(data, _full_batch=signvote.simulation.full_batch):
+            full_batches.append(_full_batch(data))
+            return full_batches[-1]
+
+        # the engine looks these names up at call time, sum_signs its as_signs
+        counting(signvote.core, "as_signs", "as_signs")
+        for attr, key in (("sample_batch", "sample_batch"), ("worker_message", "worker_message"),
+                          ("server_aggregate_signs", "server_aggregate"),
+                          ("server_aggregate_sgd", "server_aggregate"), ("grad", grad_kind)):
+            counting(signvote.simulation, attr, key)
+        monkeypatch.setattr(signvote.simulation, "full_batch", recording_full_batch)
+        run_experiment(cfg)
+
+        rounds, workers = cfg.n_rounds, cfg.n_workers
+        f = byzantine_count(cfg.adversary.alpha, workers)
+        honest = workers - f
+        evals = 3  # rounds 4, 8 and the last
+        sign_rule = cfg.optimizer.rule != "dist-sgd"
+        colluders = strategy == "byz-collude-zeroing"
+        assert len(full_batches) == 1
+        assert counts == {
+            "as_signs": rounds * (workers + (honest if colluders else 0)) if sign_rule else 0,
+            "sample_batch": rounds * honest,
+            "worker_message": rounds * honest,
+            "server_aggregate": rounds,
+            "grad.worker": rounds * honest,
+            "grad.full": rounds if strategy == "byz-oppose-true-sign" else evals,
+        }
+
+    def test_traced_names_exist(self):
+        """Every function the benchmark's tracer wraps is still there, and
+        ``grad`` still names the argument it reads ``batch``."""
+        import importlib
+        import importlib.util
+        import inspect
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for owner, names in tracer.TRACED.items():
+            module = importlib.import_module(f"signvote.{owner}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"signvote.{owner}.{name}"
+        from signvote.models import grad
+        assert list(inspect.signature(grad).parameters)[3] == "batch"
