@@ -26,6 +26,7 @@ from .simulation import (
     parse_sections,
     run_experiment,
     sweep_configs,
+    write_csv,
     write_json,
     write_metrics_csv,
     write_summary_json,
@@ -52,9 +53,9 @@ def _diverged(exc: DivergedError, **fields) -> int:
     return _error("diverged", str(exc), EXIT_FAIL, round=exc.round, **fields)
 
 
-def _read_config(path: str, overrides) -> dict:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
+def _read_config(path: str, overrides=()) -> dict:
+    """``{section: {key: value}}`` of an INI file, with ``section.key=value``
+    overrides applied; an OSError from opening the file propagates."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle)
@@ -101,8 +102,8 @@ def _with_config(args, body) -> int:
     """Shared config-loading error handling for run-like commands."""
     try:
         mapping = _read_config(args.config, args.set)
-    except FileNotFoundError as exc:
-        return _error("config-not-found", f"config file not found: {exc}")
+    except OSError as exc:
+        return _error("config-not-found", f"cannot read config: {exc}")
     except (configparser.Error, ValueError) as exc:
         return _error("config-invalid", str(exc))
     try:
@@ -113,7 +114,7 @@ def _with_config(args, body) -> int:
         return _error("config-invalid", str(exc))
     try:
         return body(cfg)
-    except (IdxFormatError, FileNotFoundError) as exc:
+    except (IdxFormatError, OSError) as exc:
         return _error("dataset-error", str(exc))
 
 
@@ -152,10 +153,10 @@ def _parse_grid(text: str, convert, what: str):
 def _cmd_sweep(args) -> int:
     def body(base) -> int:
         try:
-            out = _resolve_out(args, base)
             alphas = _parse_grid(args.alphas, float, "alpha")
             rules = _parse_grid(args.rules, str, "rule")
             pairs = sweep_configs(base, alphas, rules)
+            out = _resolve_out(args, base)
             run_dirs = [_make_dir(os.path.join(out, name)) for name, _ in pairs]
         except ValueError as exc:
             return _error("usage", str(exc))
@@ -186,20 +187,17 @@ GRID_KEYS = {
 
 
 def _read_grid_config(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as handle:
-        parser.read_file(handle)
-    mapping = {section: dict(parser.items(section)) for section in parser.sections()}
-    return {GRID_KEYS[key][0]: value for key, value in parse_sections(mapping, GRID_KEYS).items()}
+    parsed = parse_sections(_read_config(path), GRID_KEYS)
+    return {GRID_KEYS[key][0]: value for key, value in parsed.items()}
 
 
 def _cmd_verify_bounds(args) -> int:
     kwargs = {}
     if args.grid_config:
-        if not os.path.exists(args.grid_config):
-            return _error("config-not-found", f"grid config not found: {args.grid_config}")
         try:
             kwargs = _read_grid_config(args.grid_config)
+        except OSError as exc:
+            return _error("config-not-found", f"cannot read grid config: {exc}")
         except (configparser.Error, ValueError) as exc:
             return _error("config-invalid", str(exc))
     try:
@@ -212,7 +210,8 @@ def _cmd_verify_bounds(args) -> int:
         out = _make_dir(args.out or ".")
     except ValueError as exc:
         return _error("usage", str(exc))
-    theory.write_bound_report_csv(rows, os.path.join(out, "bounds.csv"))
+    write_csv(os.path.join(out, "bounds.csv"), theory.REPORT_HEADER,
+              ([row[key] for key in theory.REPORT_HEADER] for row in rows))
     summary = theory.summarize_report(rows)
     with open(os.path.join(out, "bounds_summary.json"), "w", encoding="utf-8") as handle:
         write_json(summary, handle, indent=2)
@@ -221,6 +220,9 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_gradient_check(args) -> int:
+    if args.points < 1:
+        return _error("usage", f"--points must be >= 1, got {args.points}")
+
     def body(cfg) -> int:
         data = load_data(cfg)
         stream = RngStream(cfg.seed, 2**33)
@@ -279,23 +281,20 @@ def _cmd_report(args) -> int:
         threshold = args.loss_threshold
         if threshold is None:
             threshold = 0.5 * run["losses"][0]
-        steps_to = ""
-        for step, value in zip(run["steps"], run["losses"]):
-            if value <= threshold:
-                steps_to = str(step)
-                break
+        steps_to = next((step for step, value in zip(run["steps"], run["losses"])
+                         if value <= threshold), "")
         config = run["config"]
-        rows.append(",".join([config.optimizer.rule, repr(config.adversary.alpha),
-                              repr(run["loss"]), repr(run["accuracy"]), steps_to]))
+        rows.append((config.optimizer.rule, config.adversary.alpha, run["loss"],
+                     run["accuracy"], steps_to))
     if not rows:
         return _error("no-valid-runs", "none of the given run directories were readable")
     out_path = args.out or "report.csv"
-    out_dir = os.path.dirname(out_path)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write("rule,alpha,final_loss,final_accuracy,steps_to_threshold\n")
-        handle.write("\n".join(rows) + "\n")
+    try:
+        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+        write_csv(out_path, ("rule", "alpha", "final_loss", "final_accuracy",
+                             "steps_to_threshold"), rows)
+    except OSError as exc:  # e.g. --out names a directory, or a path under a file
+        return _error("usage", f"cannot write report {out_path!r}: {exc}")
     _emit({"status": "ok", "out": out_path, "rows": len(rows)})
     return EXIT_OK
 
@@ -333,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     gradcheck = commands.add_parser("gradient-check",
                                     help="compare analytic gradients with finite differences")
     _add_config_args(gradcheck)
-    gradcheck.add_argument("--points", type=int, default=20, help="random evaluation points")
+    gradcheck.add_argument("--points", type=int, default=20,
+                           help="random evaluation points (>= 1)")
     gradcheck.set_defaults(func=_cmd_gradient_check)
 
     report = commands.add_parser("report", help="tabulate finished runs into one CSV")

@@ -10,11 +10,14 @@ are only well defined because sign sums are int64 and cancel to exactly zero.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
     "NonFiniteError",
     "RngStream",
+    "as_int",
     "as_signs",
     "as_vector",
     "check_finite",
@@ -31,6 +34,17 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     return arr
+
+
+def as_int(value) -> int:
+    """A count, seed or index as a Python int.
+
+    Python and numpy integers pass; a float raises TypeError rather than
+    being truncated, and so does a bool, which is no count.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 class NonFiniteError(ValueError):
@@ -137,12 +151,10 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "generator")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        for label, value in (("seed", seed), ("stream_id", stream_id)):
-            value = int(value)
+        self.seed, self.stream_id = as_int(seed), as_int(stream_id)
+        for label, value in (("seed", self.seed), ("stream_id", self.stream_id)):
             if not 0 <= value < 2**64:
                 raise ValueError(f"{label} must be an unsigned 64-bit integer, got {value}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
         key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.Philox(key))
 

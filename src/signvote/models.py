@@ -26,23 +26,19 @@ so zero is always a valid lower bound on the objective.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector
+from .core import RngStream, as_int, as_vector
 
 __all__ = [
-    "BadMagicError",
-    "CountMismatchError",
     "Dataset",
     "IdxFormatError",
     "MODEL_KINDS",
     "ModelSpec",
     "SYNTHETIC_KINDS",
-    "TruncatedIdxError",
     "accuracy",
     "finite_difference_grad",
     "full_batch",
@@ -73,18 +69,18 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
-        if operator.index(self.input_dim) < 1:
+        if as_int(self.input_dim) < 1:
             raise ValueError("input_dim must be >= 1")
         if self.kind == "linear-regression":
             if self.num_classes is not None:
                 raise ValueError("linear-regression takes no num_classes")
         else:
-            if self.num_classes is None or operator.index(self.num_classes) < 2:
+            if self.num_classes is None or as_int(self.num_classes) < 2:
                 raise ValueError(f"{self.kind} needs num_classes >= 2")
         if self.kind == "mlp":
             if self.hidden_dim is None:
                 object.__setattr__(self, "hidden_dim", DEFAULT_HIDDEN_DIM)
-            if operator.index(self.hidden_dim) < 1:
+            if as_int(self.hidden_dim) < 1:
                 raise ValueError("hidden_dim must be >= 1")
         elif self.hidden_dim is not None:
             raise ValueError(f"{self.kind} takes no hidden_dim")
@@ -407,25 +403,14 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX container."""
-
-
-class BadMagicError(IdxFormatError):
-    """Magic number does not identify an IDX image/label file."""
-
-
-class TruncatedIdxError(IdxFormatError):
-    """File ended before the declared payload."""
-
-
-class CountMismatchError(IdxFormatError):
-    """Image and label files declare different sample counts."""
+    """Malformed IDX container: a wrong magic number, a file that ends before
+    its declared payload, no images, or image and label counts that differ."""
 
 
 def _read_exact(handle, nbytes: int, path, what: str) -> bytes:
     data = handle.read(nbytes)
     if len(data) != nbytes:
-        raise TruncatedIdxError(
+        raise IdxFormatError(
             f"{path}: truncated while reading {what} (wanted {nbytes} bytes, got {len(data)})"
         )
     return data
@@ -444,7 +429,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             ">IIII", _read_exact(handle, 16, images_path, "image header")
         )
         if magic != IMAGE_MAGIC:
-            raise BadMagicError(
+            raise IdxFormatError(
                 f"{images_path}: magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
             )
         if count == 0:
@@ -457,11 +442,11 @@ def load_idx(images_path, labels_path) -> Dataset:
             ">II", _read_exact(handle, 8, labels_path, "label header")
         )
         if magic != LABEL_MAGIC:
-            raise BadMagicError(
+            raise IdxFormatError(
                 f"{labels_path}: magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"
             )
         labels = np.frombuffer(_read_exact(handle, label_count, labels_path, "label data"),
                                dtype=np.uint8).astype(np.int64)
     if count != label_count:
-        raise CountMismatchError(f"image count {count} != label count {label_count}")
+        raise IdxFormatError(f"image count {count} != label count {label_count}")
     return Dataset(features, labels)

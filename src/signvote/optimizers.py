@@ -11,12 +11,11 @@ vote whose exact ties broadcast 0 and freeze the coordinate for the round.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_vector, sequential_sum, sign, sum_signs
+from .core import as_int, as_vector, sequential_sum, sign, sum_signs
 
 __all__ = [
     "OptimizerConfig",
@@ -46,7 +45,7 @@ class Schedule:
         # an infinite factor would zero the rate for good after the first decay
         if not (math.isfinite(self.decay_factor) and self.decay_factor > 0):
             raise ValueError("decay_factor must be finite and > 0")
-        if operator.index(self.decay_every) < 1:
+        if as_int(self.decay_every) < 1:
             raise ValueError("decay_every must be >= 1")
 
 
@@ -70,7 +69,7 @@ class OptimizerConfig:
             raise ValueError(f"{self.rule} requires beta = 0; use rule 'signum' for momentum")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and >= 0")
-        if operator.index(self.batch_size) < 1:
+        if as_int(self.batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
 
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 import warnings
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .adversaries import (
     byz_oppose_true_sign,
     byzantine_count,
 )
-from .core import NonFiniteError, RngStream, sum_signs
+from .core import NonFiniteError, RngStream, as_int, sum_signs
 from .models import (
     SYNTHETIC_KINDS,
     Dataset,
@@ -80,6 +79,7 @@ __all__ = [
     "run_experiment",
     "run_sweep",
     "sweep_configs",
+    "write_csv",
     "write_json",
     "write_metrics_csv",
     "write_summary_json",
@@ -104,7 +104,7 @@ class SyntheticData:
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise ValueError(f"synthetic data supports {SYNTHETIC_KINDS}, not {self.kind!r}")
-        if operator.index(self.n_samples) < 1:
+        if as_int(self.n_samples) < 1:
             raise ValueError("n_samples must be >= 1")
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
             raise ValueError("noise_level must be finite and >= 0")
@@ -146,13 +146,13 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if operator.index(self.n_workers) < 1:
+        if as_int(self.n_workers) < 1:
             raise ValueError("n_workers must be >= 1")
-        if operator.index(self.n_rounds) < 1:
+        if as_int(self.n_rounds) < 1:
             raise ValueError("n_rounds must be >= 1")
-        if operator.index(self.eval_every) < 1:
+        if as_int(self.eval_every) < 1:
             raise ValueError("eval_every must be >= 1")
-        if not 0 <= operator.index(self.seed) < 2**64:
+        if not 0 <= as_int(self.seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         f = byzantine_count(self.adversary.alpha, self.n_workers)
         if f > 0:
@@ -325,7 +325,9 @@ def sweep_configs(base: ExperimentConfig, alpha_grid, rule_grid):
     """Name/config pairs for every (alpha, rule) combination, row-major in alpha.
 
     Rules other than signum force beta to 0 (momentum is signum's defining
-    feature); every other knob carries over from the base config.
+    feature); every other knob carries over from the base config.  Two
+    combinations with one name (alphas equal to 6 significant digits, or a
+    repeated rule) raise ValueError, since a name is a run's directory.
     """
     alphas = list(alpha_grid)
     rules = list(rule_grid)
@@ -340,7 +342,10 @@ def sweep_configs(base: ExperimentConfig, alpha_grid, rule_grid):
                 optimizer=replace(base.optimizer, rule=rule, beta=beta),
                 adversary=replace(base.adversary, alpha=float(alpha)),
             )
-            pairs.append((f"{rule}-alpha{float(alpha):g}", cfg))
+            name = f"{rule}-alpha{float(alpha):g}"
+            if any(name == seen for seen, _ in pairs):
+                raise ValueError(f"the alpha and rule grids name run {name!r} twice")
+            pairs.append((name, cfg))
     return pairs
 
 
@@ -351,27 +356,29 @@ def run_sweep(base: ExperimentConfig, alpha_grid, rule_grid) -> list[RunRecord]:
 
 # -- artifacts -----------------------------------------------------------------
 
+# RoundMetrics' fields in order: write_metrics_csv writes each row's astuple
 METRICS_HEADER = ("step", "loss", "accuracy", "eta", "sign_agreement", "zero_fraction")
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips the float64 exactly."""
-    return repr(float(value))
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one comma-separated line per row.
+
+    A str cell is written as is and a Python int with ``str``; any other cell
+    as ``repr(float(cell))``, the shortest decimal that round-trips the
+    float64 exactly (``nan`` for NaN).  No cell is quoted, so none may hold a
+    comma.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell if isinstance(cell, str)
+                              else str(cell) if isinstance(cell, int)
+                              else repr(float(cell)) for cell in row))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def write_metrics_csv(record: RunRecord, path) -> None:
-    lines = [",".join(METRICS_HEADER)]
-    for row in record.metrics:
-        lines.append(",".join([
-            str(row.step),
-            _fmt(row.train_loss),
-            _fmt(row.eval_accuracy),
-            _fmt(row.effective_eta),
-            _fmt(row.sign_agreement),
-            _fmt(row.zero_fraction),
-        ]))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_csv(path, METRICS_HEADER, map(astuple, record.metrics))
 
 
 def _finite_or_none(value):
@@ -417,11 +424,7 @@ def write_summary_json(record: RunRecord, path) -> None:
 def _int(value) -> int:
     """An integer, or a string spelling one; floats and bools are rejected,
     as their strings ("5.0", "True") already are."""
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer")
-    return operator.index(value)
+    return int(value) if isinstance(value, str) else as_int(value)
 
 
 # Every key a run config may use: (section, key) -> (dataclass, field it fills,

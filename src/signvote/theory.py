@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversaries import byzantine_count
-from .core import RngStream, as_vector, l1_norm, sign
+from .core import RngStream, as_int, as_vector, l1_norm, sign
 from .models import Dataset, ModelSpec, full_batch, grad, sample_batch
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "summarize_report",
     "vote_failure_cantelli",
     "vote_failure_exact",
-    "write_bound_report_csv",
 ]
 
 NOISE_FAMILIES = ("gaussian", "laplace", "shifted-bernoulli")
@@ -83,12 +82,9 @@ class BoundInputs:
         object.__setattr__(self, "smoothness", smoothness)
         if self.f0 < self.fstar:
             raise ValueError("f0 must be >= fstar")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("p must lie in (0, 1]")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-        if self.n_workers < 1 or self.n_rounds < 1:
-            raise ValueError("n_workers and n_rounds must be >= 1")
+        _check_vote_args(self.n_workers, self.alpha, self.p)
+        if as_int(self.n_rounds) < 1:
+            raise ValueError("n_rounds must be >= 1")
 
     @property
     def total_gradient_calls(self) -> int:
@@ -112,6 +108,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {NOISE_FAMILIES}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
+            raise ValueError(f"mean and sigma must be finite, got mean={self.mean!r}, "
+                             f"sigma={self.sigma!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
@@ -140,8 +139,8 @@ def sign_error_bound_symmetric(snr: float) -> float:
     1/2 - S/(2 sqrt(3)) below it; both branches meet at 1/6 and the value
     never exceeds 1/2.
     """
-    if snr < 0:
-        raise ValueError("snr must be >= 0")
+    if not snr >= 0:  # NaN fails too
+        raise ValueError(f"snr must be >= 0, got {snr!r}")
     if snr > SYMMETRIC_BREAKPOINT:
         return (2.0 / 9.0) / (snr * snr)
     return 0.5 - snr / (2.0 * math.sqrt(3.0))
@@ -153,8 +152,8 @@ def sign_error_bound_chebyshev(snr: float) -> float:
     Needs no shape assumption on the noise.  Not capped: below S = 1 the
     value exceeds 1/2 and the bound is vacuous.
     """
-    if snr <= 0:
-        raise ValueError("snr must be > 0 (the ratio is undefined at zero signal)")
+    if not snr > 0:  # NaN fails too
+        raise ValueError(f"snr must be > 0 (the ratio is undefined at zero signal), got {snr!r}")
     return 1.0 / (2.0 * snr * snr)
 
 
@@ -203,7 +202,7 @@ def _binomial_cdf(k: int, n: int, p: float) -> float:
 
 
 def _check_vote_args(n_workers: int, alpha: float, p: float) -> None:
-    if n_workers < 1:
+    if as_int(n_workers) < 1:
         raise ValueError("n_workers must be >= 1")
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -243,6 +242,13 @@ def vote_failure_cantelli(n_workers: int, alpha: float, p: float) -> float:
 # -- convergence-rate formulas ----------------------------------------------------
 
 
+def _rate_bound(inputs: BoundInputs, noise_scale: float) -> float:
+    """4/sqrt(N) [ |sigma|_1 / (noise_scale sqrt(M)) + sqrt(|L|_1 (f0 - fstar)) ]^2, N = K^2."""
+    noise_term = l1_norm(inputs.sigma) / (noise_scale * math.sqrt(inputs.n_workers))
+    curvature_term = math.sqrt(l1_norm(inputs.smoothness) * (inputs.f0 - inputs.fstar))
+    return 4.0 / math.sqrt(inputs.total_gradient_calls) * (noise_term + curvature_term) ** 2
+
+
 def rate_bound_blind(inputs: BoundInputs) -> float:
     """Rate bound for a fraction alpha < 1/2 of sign-inverting blind workers.
 
@@ -251,9 +257,7 @@ def rate_bound_blind(inputs: BoundInputs) -> float:
     """
     if inputs.alpha >= 0.5:
         raise ValueError("blind-adversary rate bound requires alpha < 1/2")
-    noise_term = l1_norm(inputs.sigma) / ((1.0 - 2.0 * inputs.alpha) * math.sqrt(inputs.n_workers))
-    curvature_term = math.sqrt(l1_norm(inputs.smoothness) * (inputs.f0 - inputs.fstar))
-    return 4.0 / math.sqrt(inputs.total_gradient_calls) * (noise_term + curvature_term) ** 2
+    return _rate_bound(inputs, 1.0 - 2.0 * inputs.alpha)
 
 
 def rate_bound_byzantine(inputs: BoundInputs) -> float:
@@ -268,11 +272,7 @@ def rate_bound_byzantine(inputs: BoundInputs) -> float:
         raise ValueError(
             f"requires alpha < 1 - 1/(2p): got p={inputs.p:g}, alpha={inputs.alpha:g}"
         )
-    noise_term = (
-        l1_norm(inputs.sigma) / (2.0 * math.sqrt(2.0) * margin * math.sqrt(inputs.n_workers))
-    )
-    curvature_term = math.sqrt(l1_norm(inputs.smoothness) * (inputs.f0 - inputs.fstar))
-    return 4.0 / math.sqrt(inputs.total_gradient_calls) * (noise_term + curvature_term) ** 2
+    return _rate_bound(inputs, 2.0 * math.sqrt(2.0) * margin)
 
 
 # -- empirical estimation of p and sigma ------------------------------------------
@@ -354,6 +354,16 @@ DEFAULT_VOTE_ALPHA = (0.0, 0.1, 0.2, 0.3)
 REPORT_HEADER = ("check", "point", "value", "bound", "tolerance", "margin", "status")
 
 
+def _row(check: str, point: str, value: float, bound: float, tolerance: float = 0.0,
+         status: str | None = None) -> dict:
+    """One report row, keyed by REPORT_HEADER; without an explicit ``status``
+    it passes when the margin ``bound + tolerance - value`` is >= 0."""
+    margin = bound + tolerance - value
+    if status is None:
+        status = "pass" if margin >= 0 else "fail"
+    return dict(zip(REPORT_HEADER, (check, point, value, bound, tolerance, margin, status)))
+
+
 def bound_report(snr_grid=DEFAULT_SNR_GRID, families=NOISE_FAMILIES,
                  mc_samples: int = 100_000, vote_workers=DEFAULT_VOTE_WORKERS,
                  vote_p=DEFAULT_VOTE_P, vote_alpha=DEFAULT_VOTE_ALPHA,
@@ -377,38 +387,19 @@ def bound_report(snr_grid=DEFAULT_SNR_GRID, families=NOISE_FAMILIES,
                        min(1.0, sign_error_bound_chebyshev(snr)))]
             if family in ("gaussian", "laplace"):
                 checks.append(("sign-error-symmetric", sign_error_bound_symmetric(snr)))
-            for check, bound in checks:
-                margin = bound + tolerance - observed
-                rows.append({
-                    "check": check,
-                    "point": f"family={family} S={snr:g} samples={mc_samples}",
-                    "value": observed,
-                    "bound": bound,
-                    "tolerance": tolerance,
-                    "margin": margin,
-                    "status": "pass" if margin >= 0 else "fail",
-                })
+            point = f"family={family} S={snr:g} samples={mc_samples}"
+            rows += [_row(check, point, observed, bound, tolerance) for check, bound in checks]
     for n_workers in vote_workers:
         for p in vote_p:
             for alpha in vote_alpha:
                 point = f"M={n_workers} p={p:g} alpha={alpha:g}"
                 if p * (1.0 - alpha) <= 0.5:
-                    rows.append({
-                        "check": "vote-failure-cantelli", "point": point,
-                        "value": float("nan"), "bound": float("nan"),
-                        "tolerance": 0.0, "margin": float("nan"),
-                        "status": "inadmissible",
-                    })
-                    continue
-                exact = vote_failure_exact(n_workers, alpha, p)
-                bound = vote_failure_cantelli(n_workers, alpha, p)
-                margin = bound - exact
-                rows.append({
-                    "check": "vote-failure-cantelli", "point": point,
-                    "value": exact, "bound": bound, "tolerance": 0.0,
-                    "margin": margin,
-                    "status": "pass" if margin >= 0 else "fail",
-                })
+                    rows.append(_row("vote-failure-cantelli", point, math.nan, math.nan,
+                                     status="inadmissible"))
+                else:
+                    rows.append(_row("vote-failure-cantelli", point,
+                                     vote_failure_exact(n_workers, alpha, p),
+                                     vote_failure_cantelli(n_workers, alpha, p)))
     return rows
 
 
@@ -424,18 +415,3 @@ def summarize_report(rows) -> dict:
     summary["violations"] = [row["point"] for row in rows if row["status"] == "fail"]
     return summary
 
-
-def write_bound_report_csv(rows, path) -> None:
-    lines = [",".join(REPORT_HEADER)]
-    for row in rows:
-        lines.append(",".join([
-            row["check"],
-            row["point"].replace(",", ";"),
-            repr(float(row["value"])),
-            repr(float(row["bound"])),
-            repr(float(row["tolerance"])),
-            repr(float(row["margin"])),
-            row["status"],
-        ]))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -347,6 +348,69 @@ class TestBadNumbers:
         assert payload["message"].startswith(f"{key} must be finite")
 
 
+class TestBadPathsAndCounts:
+    """A directory where a file belongs, and counts or grids that select
+    nothing sensible, are JSON errors with exit 2, not tracebacks."""
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        code, payload = run_cli(capsys, "run", "--config", str(tmp_path),
+                                "--out", str(tmp_path / "x"))
+        assert (code, payload["error"]) == (2, "config-not-found")
+        assert "Is a directory" in payload["message"]
+
+    def test_grid_config_is_a_directory(self, tmp_path, capsys):
+        code, payload = run_cli(capsys, "verify-bounds", "--out", str(tmp_path / "b"),
+                                "--grid-config", str(tmp_path))
+        assert (code, payload["error"]) == (2, "config-not-found")
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command", ["run", "gradient-check"])
+    def test_idx_images_is_a_directory(self, tmp_path, capsys, command):
+        cfg = write_quick_config(tmp_path, {("data", "source"): "idx",
+                                            ("data", "images"): str(tmp_path),
+                                            ("data", "labels"): str(tmp_path)})
+        code, payload = run_cli(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
+        assert (code, payload["error"]) == (2, "dataset-error")
+
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    def test_report_out_unwritable(self, tmp_path, capsys, where):
+        dirs = TestReport.make_runs(tmp_path, capsys, 1)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(tmp_path) if where == "directory" else str(taken / "x.csv")
+        code, payload = run_cli(capsys, "report", *dirs, "--out", out)
+        assert (code, payload["error"]) == (2, "usage")
+        assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_gradient_check_needs_a_point(self, tmp_path, capsys, points):
+        cfg = write_quick_config(tmp_path)
+        code, payload = run_cli(capsys, "gradient-check", "--config", cfg, "--points", points)
+        assert (code, payload) == (2, {"error": "usage",
+                                       "message": f"--points must be >= 1, got {points}"})
+
+    @pytest.mark.parametrize("alphas, rules", [("0.1,0.1", "signsgd"),
+                                               ("0.1,0.1000001", "signsgd"),
+                                               ("0", "signum,signum")])
+    def test_sweep_duplicate_run_name(self, tmp_path, capsys, alphas, rules):
+        cfg = write_quick_config(tmp_path)
+        code, payload = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "x"),
+                                "--alphas", alphas, "--rules", rules)
+        assert (code, payload["error"]) == (2, "usage")
+        assert "twice" in payload["message"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("snr", ["nan", "inf", "1,nan"])
+    def test_non_finite_snr_in_grid(self, tmp_path, capsys, snr):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"[sign-error]\nsnr = {snr}\nsamples = 1000\n[vote]\nworkers =\n")
+        code, payload = run_cli(capsys, "verify-bounds", "--out", str(tmp_path / "b"),
+                                "--grid-config", str(grid))
+        assert (code, payload["error"]) == (2, "config-invalid")
+        assert "must be finite" in payload["message"]
+        assert not (tmp_path / "b").exists()
+
+
 class TestReport:
     @staticmethod
     def make_runs(tmp_path, capsys, n=2):
@@ -438,6 +502,26 @@ class TestReport:
         assert "Traceback" not in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 
+    def test_report_bytes_as_recorded(self, tmp_path, capsys):
+        """Three blind-invert runs and a regression run (NaN accuracy), with a
+        threshold two of them reach; the bytes report wrote before it shared
+        the CSV writer."""
+        dirs = self.make_runs(tmp_path, capsys, 3)
+        (tmp_path / "reg").mkdir()
+        cfg = write_quick_config(tmp_path / "reg", {**REGRESSION, ("run", "rounds"): "10"})
+        assert run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "r3"))[0] == 0
+        out_csv = tmp_path / "report.csv"
+        code, _ = run_cli(capsys, "report", *dirs, str(tmp_path / "r3"), "--out", str(out_csv),
+                          "--loss-threshold", "0.6")
+        assert code == 0
+        assert out_csv.read_text() == (
+            "rule,alpha,final_loss,final_accuracy,steps_to_threshold\n"
+            "signsgd,0.0,0.5056061057549028,0.76,10\n"
+            "signsgd,0.2,0.5349100165644695,0.775,10\n"
+            "signsgd,0.4,0.607892290718564,0.7,\n"
+            "signsgd,0.2,1.4848178293109562,nan,\n"
+        )
+
     def test_all_malformed_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "broken"
         bad.mkdir()
@@ -460,6 +544,10 @@ DEFAULT_GRID_SUMMARY = """{
 DEFAULT_GRID_INADMISSIBLE = {f"M={m} p=0.6 alpha={a}" for m in (11, 51, 101, 501) for a in (0.2, 0.3)}
 
 
+# sha256 of the default grid's bounds.csv, as written before the CSV writer was shared
+DEFAULT_GRID_BOUNDS_SHA256 = "2f41e123f4679d0d3465a0fb4d0d323be7ec09a1e158e8f9e24ceac68b0d416f"
+
+
 class TestVerifyBoundsDefaultGrid:
     def test_default_grid_exit_zero(self, tmp_path, capsys):
         code, payload = run_cli(capsys, "verify-bounds", "--out", str(tmp_path / "b"))
@@ -476,6 +564,12 @@ class TestVerifyBoundsDefaultGrid:
         for row in rows:
             expected = "inadmissible" if row[1] in DEFAULT_GRID_INADMISSIBLE else "pass"
             assert row[-1] == expected, row
+
+    def test_default_grid_bounds_csv_as_recorded(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run_cli(capsys, "verify-bounds", "--out", str(out))[0] == 0
+        digest = hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest()
+        assert digest == DEFAULT_GRID_BOUNDS_SHA256
 
 
 class TestImportPath:

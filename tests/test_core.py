@@ -161,3 +161,14 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
+
+    @pytest.mark.parametrize("key", [(2.7,), (True,), (0, 1.0), (0, False)])
+    def test_rejects_floats_and_bools(self, key):
+        # a float key would be truncated, so two seeds could share one stream
+        with pytest.raises(TypeError):
+            RngStream(*key)
+
+    def test_numpy_integer_key(self):
+        stream = RngStream(np.uint64(2**64 - 1), np.int64(3))
+        assert (stream.seed, stream.stream_id) == (2**64 - 1, 3)
+        assert type(stream.seed) is int and type(stream.stream_id) is int

@@ -12,12 +12,9 @@ from scipy.special import expit
 
 from signvote.core import RngStream
 from signvote.models import (
-    BadMagicError,
-    CountMismatchError,
     IdxFormatError,
     Dataset,
     ModelSpec,
-    TruncatedIdxError,
     accuracy,
     finite_difference_grad,
     full_batch,
@@ -428,22 +425,22 @@ class TestLoadIdx:
 
     def test_wrong_image_magic(self, tmp_path):
         paths = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0], image_magic=0x00000777)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(IdxFormatError, match="magic 0x00000777, expected 0x00000803"):
             load_idx(*paths)
 
     def test_wrong_label_magic(self, tmp_path):
         paths = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0], label_magic=0x00000777)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(IdxFormatError, match="magic 0x00000777, expected 0x00000801"):
             load_idx(*paths)
 
     def test_truncated_pixels(self, tmp_path):
         paths = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], truncate_images=3)
-        with pytest.raises(TruncatedIdxError):
+        with pytest.raises(IdxFormatError, match="truncated while reading pixel data"):
             load_idx(*paths)
 
     def test_count_mismatch(self, tmp_path):
         paths = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1, 1])
-        with pytest.raises(CountMismatchError):
+        with pytest.raises(IdxFormatError, match="image count 2 != label count 3"):
             load_idx(*paths)
 
     def test_zero_images_rejected(self, tmp_path):
@@ -480,6 +477,8 @@ class TestModelSpec:
         assert ModelSpec(**{**kw, field: np.int64(kw[field])}) == ModelSpec(**kw)
         with pytest.raises(TypeError):
             ModelSpec(**{**kw, field: float(kw[field])})
+        with pytest.raises(TypeError):
+            ModelSpec(**{**kw, field: True})
 
 
 class TestInitialParams:

@@ -189,11 +189,12 @@ class TestOptimizerConfig:
 
     @pytest.mark.parametrize("field", ["batch_size", "decay_every"])
     def test_integer_fields_reject_floats(self, field):
-        with pytest.raises(TypeError):
-            if field == "decay_every":
-                Schedule(decay_every=30.0)
-            else:
-                OptimizerConfig("signum", eta=0.1, batch_size=32.0)
+        for bad in (30.0, True):
+            with pytest.raises(TypeError):
+                if field == "decay_every":
+                    Schedule(decay_every=bad)
+                else:
+                    OptimizerConfig("signum", eta=0.1, batch_size=bad)
 
     def test_signum_momentum_allowed(self):
         assert OptimizerConfig("signum", eta=0.1, beta=0.9).beta == 0.9

@@ -435,10 +435,14 @@ class TestConfigValidation:
         dataclasses.replace(base, **{field: np.int64(getattr(base, field))})  # numpy ints pass
         with pytest.raises(TypeError):
             dataclasses.replace(base, **{field: float(getattr(base, field))})
+        with pytest.raises(TypeError):
+            dataclasses.replace(base, **{field: True})
 
     def test_synthetic_sample_count_rejects_floats(self):
         with pytest.raises(TypeError):
             SyntheticData(kind="logistic-regression", n_samples=200.0)
+        with pytest.raises(TypeError):
+            SyntheticData(kind="logistic-regression", n_samples=True)
 
     def test_synthetic_data_fields_are_keyword_only(self):
         # a (kind, input_dim, n_samples) call must fail, not take 20 as the sample count

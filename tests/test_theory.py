@@ -68,8 +68,19 @@ class TestSignErrorBounds:
         with pytest.raises(ValueError):
             sign_error_bound_chebyshev(0.0)
 
+    @pytest.mark.parametrize("bound", [sign_error_bound_symmetric, sign_error_bound_chebyshev])
+    def test_nan_rejected(self, bound):
+        with pytest.raises(ValueError, match="got nan"):
+            bound(math.nan)
+
 
 class TestMcSignError:
+    @pytest.mark.parametrize("mean, sigma", [(math.nan, 1.0), (math.inf, 1.0),
+                                             (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_noise_rejected(self, mean, sigma):
+        with pytest.raises(ValueError, match="must be finite"):
+            NoiseModel("gaussian", mean, sigma)
+
     def test_gaussian_matches_normal_cdf(self):
         noise = NoiseModel("gaussian", mean=1.0, sigma=1.0)
         estimate, se = mc_sign_error(noise, 100_000, RngStream(31, 0))
@@ -267,6 +278,29 @@ class TestRateBounds:
             inputs(sigma=-1.0)
         with pytest.raises(ValueError):
             BoundInputs(np.ones(1), np.ones(1), 0.0, 1.0, 0.9, 1, 0.0, 1)
+
+    # (alpha, p, M, K) -> float.hex of the blind and byzantine bounds, recorded
+    # while each formula still had its own body
+    RECORDED_BITS = {
+        (0.0, 0.9, 10, 100): ("0x1.5cd0c57431f6dp-2", "0x1.3ec4c26c0866fp-2"),
+        (0.2, 0.9, 15, 400): ("0x1.c2d1f7bcc251cp-4", "0x1.b44cb630afaeap-4"),
+        (0.1, 0.7, 7, 33): ("0x1.748f754534848p+0", "0x1.c5f5a910a0b00p+1"),
+        (0.3, 0.95, 101, 1000): ("0x1.d76fc301058c8p-6", "0x1.acb66a153f981p-6"),
+    }
+
+    @pytest.mark.parametrize("point", sorted(RECORDED_BITS))
+    def test_bits_as_recorded(self, point):
+        alpha, p, workers, rounds = point
+        bound_inputs = BoundInputs(np.linspace(0.1, 1.3, 5), np.linspace(0.05, 0.7, 5),
+                                   2.0, 0.25, p, workers, alpha, rounds)
+        bits = (rate_bound_blind(bound_inputs).hex(), rate_bound_byzantine(bound_inputs).hex())
+        assert bits == self.RECORDED_BITS[point]
+
+    @pytest.mark.parametrize("field, value", [("workers", 2.5), ("workers", True),
+                                              ("rounds", 3.5), ("rounds", True)])
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(TypeError):
+            inputs(**{field: value})
 
 
 class TestSignMatchEstimation:
