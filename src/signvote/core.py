@@ -85,9 +85,13 @@ def sign(values, name: str = "sign input") -> np.ndarray:
 
     Returns an int8 array over {-1, 0, +1}.  Zero is matched exactly, not
     within a tolerance: a tied majority vote must broadcast 0 and leave the
-    corresponding parameter untouched.
+    corresponding parameter untouched.  Integer input (an int64 vote sum) is
+    signed as is: it needs no float64 copy and is always finite.
     """
-    arr = as_vector(values, name)
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" and arr.ndim == 1:
+        return np.sign(arr).astype(np.int8)
+    arr = as_vector(arr, name)
     check_finite(arr, name)
     return np.sign(arr).astype(np.int8)
 

@@ -15,12 +15,14 @@ order followed by its bias vector.
 Only ``ModelSpec.param_dim`` and the ``_unpack_*`` helpers know this layout.
 One forward pass gives every family's logits (one per row for the linear and
 binary models, one per class otherwise) and the MLP's hidden layer; :func:`loss`,
-:func:`grad` and :func:`accuracy` then differ only in the loss family (squared
-error, sigmoid cross-entropy or softmax), and the MLP gradient reuses that layer.
+:func:`grad`, :func:`accuracy` and :func:`evaluate` (loss and accuracy at once)
+then differ only in the loss family (squared error, sigmoid cross-entropy or
+softmax), and the MLP gradient reuses that layer.
 
 A batch is a 1-D int64 array of sample indices (:func:`sample_batch`,
-:func:`full_batch`).  All losses are means over the batch and non-negative,
-so zero is always a valid lower bound on the objective.
+:func:`full_batch`); the whole dataset in order is read in place, not copied.
+All losses are means over the batch and non-negative, so zero is always a
+valid lower bound on the objective.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "ModelSpec",
     "SYNTHETIC_KINDS",
     "accuracy",
+    "evaluate",
     "finite_difference_grad",
     "full_batch",
     "generate_synthetic",
@@ -113,7 +116,8 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        # C order, so that a full batch read in place has a gathered copy's layout
+        features = np.ascontiguousarray(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         labels = np.asarray(self.labels)
@@ -196,13 +200,16 @@ def _batch_rows(spec: ModelSpec, data: Dataset, batch):
         raise ValueError(f"batch must be non-empty 1-D int indices, got {idx.dtype} {idx.shape}")
     if np.minimum.reduce(idx) < 0:
         raise ValueError("batch indices must be non-negative")
-    try:
-        # take gathers rows faster than fancy indexing and bounds-checks the same way
-        x, y = _features(spec, data).take(idx, axis=0), data.labels[idx]
-    except IndexError:
-        raise ValueError(
-            f"batch index {int(idx.max())} out of range for {data.n_samples} samples"
-        ) from None
+    if idx.size == data.n_samples and np.array_equal(idx, np.arange(idx.size)):
+        x, y = _features(spec, data), data.labels  # the whole dataset in order: no copy
+    else:
+        try:
+            # take gathers rows faster than fancy indexing and bounds-checks the same way
+            x, y = _features(spec, data).take(idx, axis=0), data.labels[idx]
+        except IndexError:
+            raise ValueError(
+                f"batch index {int(idx.max())} out of range for {data.n_samples} samples"
+            ) from None
     return x, _class_labels(spec, y) if spec.is_classification else y
 
 
@@ -276,11 +283,8 @@ def initial_params(spec: ModelSpec, rng: RngStream | None = None) -> np.ndarray:
     return params
 
 
-def loss(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> float:
-    """Mean per-sample loss over the batch (squared error or cross-entropy)."""
-    params = _check_params(spec, params)
-    x, y = _batch_rows(spec, data, batch)
-    z = _forward(spec, params, x)[0]
+def _mean_loss(spec: ModelSpec, z: np.ndarray, y: np.ndarray) -> float:
+    """Mean squared error or cross-entropy of the logits z against the labels y."""
     if not spec.is_classification:
         r = z - y
         return float(np.mean(r * r))
@@ -291,6 +295,19 @@ def loss(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> float:
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     return float(np.mean(lse - z[np.arange(y.size), y]))
+
+
+def _hit_rate(z: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of rows whose logits predict their class (see :func:`accuracy`)."""
+    pred = (z >= 0.0).astype(np.int64) if z.ndim == 1 else np.argmax(z, axis=1)
+    return float(np.mean(pred == y))
+
+
+def loss(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> float:
+    """Mean per-sample loss over the batch (squared error or cross-entropy)."""
+    params = _check_params(spec, params)
+    x, y = _batch_rows(spec, data, batch)
+    return _mean_loss(spec, _forward(spec, params, x)[0], y)
 
 
 def grad(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> np.ndarray:
@@ -332,10 +349,17 @@ def accuracy(spec: ModelSpec, params, data: Dataset) -> float:
     if not spec.is_classification:
         raise ValueError("accuracy requires a classification model")
     params = _check_params(spec, params)
-    y = _class_labels(spec, data.labels)
-    z = _forward(spec, params, _features(spec, data))[0]
-    pred = (z >= 0.0).astype(np.int64) if z.ndim == 1 else np.argmax(z, axis=1)
-    return float(np.mean(pred == y))
+    x, y = _batch_rows(spec, data, np.arange(data.n_samples))
+    return _hit_rate(_forward(spec, params, x)[0], y)
+
+
+def evaluate(spec: ModelSpec, params, data: Dataset) -> tuple[float, float]:
+    """Full-dataset :func:`loss` and :func:`accuracy` (NaN for regression) from
+    one forward pass, with the bits of the two separate calls."""
+    params = _check_params(spec, params)
+    x, y = _batch_rows(spec, data, np.arange(data.n_samples))
+    z = _forward(spec, params, x)[0]
+    return _mean_loss(spec, z, y), _hit_rate(z, y) if spec.is_classification else math.nan
 
 
 # -- oracles -------------------------------------------------------------------
@@ -425,9 +449,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     row per image.
     """
     with open(images_path, "rb") as handle:
-        magic, count, rows, cols = struct.unpack(
-            ">IIII", _read_exact(handle, 16, images_path, "image header")
-        )
+        header = _read_exact(handle, 16, images_path, "image header")
+        magic, count, rows, cols = struct.unpack(">IIII", header)
         if magic != IMAGE_MAGIC:
             raise IdxFormatError(
                 f"{images_path}: magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
@@ -435,12 +458,11 @@ def load_idx(images_path, labels_path) -> Dataset:
         if count == 0:
             raise IdxFormatError(f"{images_path}: header declares 0 images")
         raw = _read_exact(handle, count * rows * cols, images_path, "pixel data")
-    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-    features = features.reshape(count, rows * cols) / 255.0
+    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
+    features /= 255.0
     with open(labels_path, "rb") as handle:
-        magic, label_count = struct.unpack(
-            ">II", _read_exact(handle, 8, labels_path, "label header")
-        )
+        header = _read_exact(handle, 8, labels_path, "label header")
+        magic, label_count = struct.unpack(">II", header)
         if magic != LABEL_MAGIC:
             raise IdxFormatError(
                 f"{labels_path}: magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"

@@ -39,13 +39,12 @@ from .models import (
     Dataset,
     IdxFormatError,
     ModelSpec,
-    accuracy,
+    evaluate,
     full_batch,
     generate_synthetic,
     grad,
     initial_params,
     load_idx,
-    loss,
     sample_batch,
 )
 from .optimizers import (
@@ -271,15 +270,14 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
     messages = np.empty((n_workers, dim), dtype=np.int8 if sign_rule else np.float64)
     whole = full_batch(data)
 
-    def evaluate(step: int, eta: float, agreement: float, zero_frac: float) -> RoundMetrics:
-        value = loss(spec, x, data, whole)
+    def measure(step: int, eta: float, agreement: float, zero_frac: float) -> RoundMetrics:
+        value, acc = evaluate(spec, x, data)
         if not math.isfinite(value):
             raise DivergedError(step)
-        acc = accuracy(spec, x, data) if spec.is_classification else float("nan")
         return RoundMetrics(step, value, acc, eta, agreement, zero_frac)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        metrics = [evaluate(0, effective_eta(opt, 0), float("nan"), float("nan"))]
+        metrics = [measure(0, effective_eta(opt, 0), float("nan"), float("nan"))]
         for t in range(cfg.n_rounds):
             eval_now = (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.n_rounds
             true_grad = None
@@ -316,7 +314,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
             if eval_now:
                 agreement = float(np.mean(np.sign(direction) == np.sign(true_grad)))
                 zero_frac = float(np.mean(direction == 0))
-                metrics.append(evaluate(t + 1, effective_eta(opt, t), agreement, zero_frac))
+                metrics.append(measure(t + 1, effective_eta(opt, t), agreement, zero_frac))
 
     return RunRecord(cfg, metrics, x, time.perf_counter() - t_start)
 

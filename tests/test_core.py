@@ -46,6 +46,29 @@ class TestSign:
         with pytest.raises(ValueError, match="1-D"):
             sign(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint64])
+    def test_integer_input_matches_float_path(self, dtype):
+        # int64 vote sums, as server_aggregate_signs signs them, and other integer widths
+        rng = np.random.default_rng(2)
+        info = np.iinfo(dtype)
+        sums = np.concatenate([rng.integers(max(info.min, -101), 102, size=50, dtype=dtype),
+                               np.array([info.min, info.max, 0], dtype=dtype)])
+        out = sign(sums)
+        assert out.dtype == np.int8
+        np.testing.assert_array_equal(out, sign(sums.astype(np.float64)))
+
+    def test_vote_sums_of_sign_blocks(self):
+        block = np.random.default_rng(3).integers(-1, 2, size=(101, 40)).astype(np.int8)
+        total = sum_signs(block)
+        np.testing.assert_array_equal(sign(total), sign(total.astype(np.float64)))
+
+    def test_integer_matrix_rejected_with_name(self):
+        with pytest.raises(ValueError, match="vote sum must be 1-D, got shape"):
+            sign(np.zeros((2, 2), dtype=np.int64), "vote sum")
+
+    def test_bool_input(self):
+        np.testing.assert_array_equal(sign(np.array([True, False])), [1, 0])
+
 
 class TestSumSigns:
     def test_hand_sum(self):

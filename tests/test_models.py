@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,11 +16,14 @@ from signvote.models import (
     IdxFormatError,
     Dataset,
     ModelSpec,
+    _batch_rows,
     accuracy,
+    evaluate,
     finite_difference_grad,
     full_batch,
     generate_synthetic,
     grad,
+    initial_params,
     load_idx,
     loss,
     _sigmoid,
@@ -161,6 +165,7 @@ SIGMOID_INPUTS = hnp.arrays(
 
 def assert_same_bits(actual, expected):
     """Equal bit patterns, except that any NaN matches any NaN."""
+    actual, expected = np.atleast_1d(actual), np.atleast_1d(expected)
     nan = np.isnan(expected)
     np.testing.assert_array_equal(np.isnan(actual), nan)
     np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
@@ -346,9 +351,35 @@ MODEL_BYTE_ANCHORS = {
 BYTE_SPECS = {"linear": LINEAR, "logistic": LOGISTIC, "softmax": SOFTMAX, "mlp": MLP}
 
 
-def model_outputs(spec: ModelSpec) -> dict:
+# the same for loss and grad on the whole dataset in order, recorded while a full
+# batch was still gathered into a copy, so reading it in place keeps every bit
+FULL_BATCH_BYTE_ANCHORS = {
+    ("linear", "loss"):
+        "ff59b88f6ab296ba16e339364faef1e3b2e9774d3543576eefd9f27bc15f18bf",
+    ("linear", "grad"):
+        "c9ce0a343c9c51114f993600d2123c2674e54050a47f9b2cee19a165e79b432a",
+    ("logistic", "loss"):
+        "3ab75d3a3edb13f5ad0f9f99f83ff7c86d0ace337c30564cf9863fe1516f64b3",
+    ("logistic", "grad"):
+        "344286e5805d669d6a5cf5848949eb8158076c21cfb6acc5191c8012ef6a08bd",
+    ("softmax", "loss"):
+        "1144f31f85e06b2a123fdbb43e70db7480f3c6496462d2ab5bc0127e473b1448",
+    ("softmax", "grad"):
+        "152925491f983c5be3485c2d1d488e442f9f56fcb7c9f9b704c6c16107d274a8",
+    ("mlp", "loss"):
+        "561f90ed42ff52aa187239be157e200e9255857aadac585fe7920e6fb06d390d",
+    ("mlp", "grad"):
+        "ed6c365d0845789ad44daabbffd934af882904898d1ad88b17e2126972b01855",
+}
+
+
+def byte_inputs(spec: ModelSpec):
     data = small_dataset(spec, n=40, seed=21)
-    params = 1.5 * np.random.default_rng(22).standard_normal(spec.param_dim)
+    return spec, data, 1.5 * np.random.default_rng(22).standard_normal(spec.param_dim)
+
+
+def model_outputs(spec: ModelSpec) -> dict:
+    spec, data, params = byte_inputs(spec)
     batch = np.array([0, 5, 5, 17, 39, 2, 28])
     out = {"loss": loss(spec, params, data, batch), "grad": grad(spec, params, data, batch)}
     if spec.is_classification:
@@ -362,6 +393,118 @@ class TestRecordedBytes:
         value = np.asarray(model_outputs(BYTE_SPECS[name])[fn])
         assert value.dtype == np.float64
         assert hashlib.sha256(value.tobytes()).hexdigest() == MODEL_BYTE_ANCHORS[name, fn]
+
+    @pytest.mark.parametrize("name,fn", list(FULL_BATCH_BYTE_ANCHORS))
+    def test_full_batch_bytes(self, name, fn):
+        spec, data, params = byte_inputs(BYTE_SPECS[name])
+        value = np.asarray({"loss": loss, "grad": grad}[fn](spec, params, data, full_batch(data)))
+        assert value.dtype == np.float64
+        assert hashlib.sha256(value.tobytes()).hexdigest() == FULL_BATCH_BYTE_ANCHORS[name, fn]
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("name", list(BYTE_SPECS))
+    def test_same_bits_as_loss_and_accuracy(self, name):
+        spec, data, params = byte_inputs(BYTE_SPECS[name])
+        value, acc = evaluate(spec, params, data)
+        assert_same_bits(value, loss(spec, params, data, full_batch(data)))
+        if spec.is_classification:
+            assert_same_bits(acc, accuracy(spec, params, data))
+        else:
+            assert math.isnan(acc)
+
+    def test_returns_python_floats(self):
+        spec, data, params = byte_inputs(MLP)
+        assert all(type(v) is float for v in evaluate(spec, params, data))
+
+    def test_checks_params_width_and_labels(self):
+        data = small_dataset(LOGISTIC)
+        with pytest.raises(ValueError, match="params length"):
+            evaluate(LOGISTIC, np.zeros(3), data)
+        with pytest.raises(ValueError, match="dataset input_dim 3 != spec input_dim 4"):
+            evaluate(LOGISTIC, np.zeros(5), Dataset(np.zeros((5, 3)), np.zeros(5, dtype=int)))
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate(LOGISTIC, np.zeros(5), Dataset(np.zeros((2, 4)), np.array([0, 5])))
+
+
+# -- full batches are read in place ------------------------------------------------------
+
+
+class TestFullBatchInPlace:
+    @pytest.mark.parametrize("spec", [LINEAR, LOGISTIC, MLP], ids=str)
+    def test_identity_batch_reads_the_dataset_itself(self, spec):
+        data = small_dataset(spec)
+        x, y = _batch_rows(spec, data, full_batch(data))
+        assert x is data.features and y is data.labels
+
+    @pytest.mark.parametrize("spec", [LINEAR, SOFTMAX, MLP], ids=str)
+    @pytest.mark.parametrize("order", ["permutation", "reversed", "repeated"])
+    def test_other_size_n_batches_gather(self, spec, order):
+        data = small_dataset(spec)
+        n = data.n_samples
+        idx = {"permutation": np.random.default_rng(4).permutation(n),
+               "reversed": np.arange(n)[::-1],
+               "repeated": np.r_[0, 0, np.arange(2, n)]}[order]
+        x, y = _batch_rows(spec, data, idx)
+        assert not np.shares_memory(x, data.features)
+        np.testing.assert_array_equal(x, data.features.take(idx, axis=0))
+        gathered = Dataset(data.features.take(idx, axis=0), data.labels.take(idx))
+        params = 0.7 * np.random.default_rng(6).standard_normal(spec.param_dim)
+        for fn in (loss, grad):
+            assert_same_bits(fn(spec, params, data, idx),
+                             fn(spec, params, gathered, full_batch(gathered)))
+
+    @pytest.mark.parametrize("spec", [LINEAR, LOGISTIC, MLP], ids=str)
+    def test_size_n_batch_checks_kept(self, spec):
+        data = small_dataset(spec)
+        n, params = data.n_samples, np.zeros(spec.param_dim)
+        for fn in (loss, grad):
+            with pytest.raises(ValueError, match="batch index 12 out of range for 12 samples"):
+                fn(spec, params, data, np.r_[np.arange(n - 1), n])
+            with pytest.raises(ValueError, match="non-negative"):
+                fn(spec, params, data, np.arange(n) - 1)
+            for bad in (np.arange(n, dtype=np.float64), np.arange(n).reshape(1, n)):
+                with pytest.raises(ValueError, match="1-D int indices"):
+                    fn(spec, params, data, bad)
+
+
+def mnist_shaped(n=2000, seed=30):
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    return pixels, rng.integers(0, 10, size=n, dtype=np.uint8)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate during one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoDatasetCopy:
+    SPEC = ModelSpec("mlp", 784, hidden_dim=32, num_classes=10)
+
+    def test_full_batch_grad_and_evaluate_copy_no_features(self):
+        pixels, labels = mnist_shaped()
+        data = Dataset(pixels.reshape(len(pixels), -1) / 255.0, labels)
+        params = initial_params(self.SPEC, RngStream(31))
+        whole = full_batch(data)
+        for call in (lambda: grad(self.SPEC, params, data, whole),
+                     lambda: evaluate(self.SPEC, params, data)):
+            call()  # warm up any one-time allocation
+            assert traced_peak(call) < data.features.nbytes / 2
+
+    def test_load_idx_scales_in_place(self, tmp_path):
+        pixels, labels = mnist_shaped()
+        images_path, labels_path = write_idx_pair(tmp_path, pixels, labels)
+        holder = []
+        peak = traced_peak(lambda: holder.append(load_idx(images_path, labels_path)))
+        assert peak < 2 * 8 * pixels.size
+        np.testing.assert_array_equal(holder[0].features,
+                                      pixels.reshape(len(pixels), -1).astype(np.float64) / 255.0)
 
 
 # -- synthetic data --------------------------------------------------------------------
