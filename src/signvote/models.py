@@ -52,6 +52,7 @@ __all__ = [
     "loss",
     "max_relative_grad_error",
     "sample_batch",
+    "sample_batches",
 ]
 
 MODEL_KINDS = ("linear-regression", "logistic-regression", "mlp")
@@ -157,6 +158,18 @@ def sample_batch(rng: RngStream, n_data: int, n: int) -> np.ndarray:
     if n_data < 1:
         raise ValueError("n_data must be >= 1")
     return rng.generator.integers(0, n_data, size=n, dtype=np.int64)
+
+
+def sample_batches(rng: RngStream, n_data: int, n: int, count: int) -> np.ndarray:
+    """``count`` batches in one draw, as the rows of a (count, n) int64 array.
+
+    Row i equals the i-th of ``count`` successive ``sample_batch(rng, n_data, n)``
+    calls, and the stream ends in the same state: Philox keeps its spare 32-bit half.
+    """
+    for name, value in (("batch size", n), ("n_data", n_data), ("count", count)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    return rng.generator.integers(0, n_data, size=(count, n), dtype=np.int64)
 
 
 # -- parameter packing --------------------------------------------------------

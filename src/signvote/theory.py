@@ -14,14 +14,15 @@ independent numerical route:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversaries import byzantine_count
-from .core import RngStream, as_int, as_vector, l1_norm, sign
-from .models import Dataset, ModelSpec, full_batch, grad, sample_batch
+from .core import RngStream, as_int, as_vector, check_finite, l1_norm, sign
+from .models import Dataset, ModelSpec, full_batch, grad, sample_batches
 
 __all__ = [
     "BoundInputs",
@@ -284,7 +285,9 @@ def sign_match_rate_mc(sample_grad, true_grad, samples: int,
 
     ``sample_grad`` is a zero-argument callable returning one stochastic
     gradient.  Coordinates with |true gradient| <= floor are masked out (the
-    target sign is ill-defined there).  Returns (rates, mask).
+    target sign is ill-defined there).  The draws are stored as one
+    (samples, d) block, then checked for finiteness and counted in one pass.
+    Returns (rates, mask).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -292,10 +295,16 @@ def sign_match_rate_mc(sample_grad, true_grad, samples: int,
     mask = np.abs(g) > floor
     if not mask.any():
         raise ValueError(f"every coordinate of the true gradient is below the floor {floor:g}")
-    target = sign(g)
-    matches = np.zeros(g.size, dtype=np.int64)
-    for _ in range(samples):
-        matches += sign(np.asarray(sample_grad(), dtype=np.float64)) == target
+    draws = np.empty((samples, g.size))
+    for i in range(samples):
+        draw = np.asarray(sample_grad(), dtype=np.float64)
+        if draw.shape != g.shape:
+            raise ValueError(f"sampled gradient must have shape {g.shape}, got {draw.shape}")
+        draws[i] = draw
+    if not np.isfinite(draws).all():
+        i = int(np.argmin(np.isfinite(draws).all(axis=1)))
+        check_finite(draws[i], f"sampled gradient {i}")
+    matches = (np.sign(draws) == sign(g)).sum(axis=0, dtype=np.int64)
     return matches / samples, mask
 
 
@@ -305,17 +314,15 @@ def estimate_sign_match_profile(spec: ModelSpec, params, data: Dataset, batch_si
     """Per-coordinate sign-match rates of minibatch gradients vs the full gradient.
 
     Requesting ``batch_size == data.n_samples`` disables resampling and uses
-    the exact full batch, so every rate is 1 by construction.
+    the exact full batch, so every rate is 1 by construction.  Otherwise all
+    ``samples`` batches are drawn, and checked, before any gradient.
     """
     params = as_vector(params, "params")
+    full = batch_size == data.n_samples
+    batches = None if full else sample_batches(rng, data.n_samples, batch_size, samples)
     true_grad = grad(spec, params, data, full_batch(data))
-    if batch_size == data.n_samples:
-        def draw():
-            return true_grad
-    else:
-        def draw():
-            return grad(spec, params, data, sample_batch(rng, data.n_samples, batch_size))
-    return sign_match_rate_mc(draw, true_grad, samples, floor=floor)
+    draws = itertools.repeat(true_grad) if full else (grad(spec, params, data, b) for b in batches)
+    return sign_match_rate_mc(draws.__next__, true_grad, samples, floor=floor)
 
 
 def estimate_sign_match_prob(spec: ModelSpec, params, data: Dataset, batch_size: int,
@@ -339,8 +346,8 @@ def estimate_sigma(spec: ModelSpec, params, data: Dataset, batch_size: int,
         raise ValueError("need at least 2 samples for an unbiased variance")
     params = as_vector(params, "params")
     draws = np.empty((samples, spec.param_dim))
-    for i in range(samples):
-        draws[i] = grad(spec, params, data, sample_batch(rng, data.n_samples, batch_size))
+    for i, batch in enumerate(sample_batches(rng, data.n_samples, batch_size, samples)):
+        draws[i] = grad(spec, params, data, batch)
     return draws.std(axis=0, ddof=1)
 
 

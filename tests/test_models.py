@@ -29,6 +29,7 @@ from signvote.models import (
     _sigmoid,
     max_relative_grad_error,
     sample_batch,
+    sample_batches,
 )
 
 LINEAR = ModelSpec("linear-regression", 4)
@@ -277,6 +278,36 @@ class TestSampleBatch:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             sample_batch(RngStream(0), 10, 0)
+
+
+class TestSampleBatches:
+    """One (count, n) draw is ``count`` successive ``sample_batch`` draws."""
+
+    @pytest.mark.parametrize("pre_advance", [0, 1, 3])
+    @pytest.mark.parametrize("n_data", [1, 2, 3, 2000, 4000, 2**31 + 11, 2**40 + 3])
+    def test_rows_equal_successive_draws(self, n_data, pre_advance):
+        for stream_id, n in enumerate((1, 2, 3, 8, 15, 16, 32, 128, 512)):
+            chunked, single = RngStream(11, stream_id), RngStream(11, stream_id)
+            for stream in (chunked, single):
+                # single 32-bit draws, so an odd pre-advance leaves Philox a spare half
+                stream.generator.integers(0, 7, size=pre_advance)
+            rows = sample_batches(chunked, n_data, n, 5)
+            assert rows.shape == (5, n) and rows.dtype == np.int64
+            for row in rows:
+                np.testing.assert_array_equal(row, sample_batch(single, n_data, n))
+            np.testing.assert_array_equal(sample_batch(chunked, n_data, n),
+                                          sample_batch(single, n_data, n))
+            assert chunked.generator.integers(0, 7) == single.generator.integers(0, 7)
+
+    @pytest.mark.parametrize("args, message", [
+        ((10, 0, 3), "batch size must be >= 1"),
+        ((0, 4, 3), "n_data must be >= 1"),
+        ((10, 4, 0), "count must be >= 1"),
+        ((10, 4, -2), "count must be >= 1"),
+    ])
+    def test_sizes_below_one_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            sample_batches(RngStream(0), *args)
 
 
 # -- accuracy -------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from scipy.stats import binom, norm
 
 from signvote.adversaries import byzantine_count
-from signvote.core import RngStream
-from signvote.models import ModelSpec, generate_synthetic, grad
+from signvote import theory
+from signvote.core import NonFiniteError, RngStream
+from signvote.models import ModelSpec, generate_synthetic, grad, sample_batch
 from signvote.theory import (
     BERNOULLI_SUCCESS,
     DEFAULT_VOTE_ALPHA,
@@ -360,18 +362,84 @@ class TestEstimateSigma:
         assert (sigma > 0).all()
         # reference: numpy over freshly drawn minibatch gradients, same stream key
         stream = RngStream(9, 0)
-        from signvote.models import sample_batch
-
         draws = np.array([
             grad(spec, params, data, sample_batch(stream, data.n_samples, 8))
             for _ in range(400)
         ])
-        np.testing.assert_allclose(sigma, draws.std(axis=0, ddof=1), rtol=1e-12)
+        np.testing.assert_array_equal(sigma, draws.std(axis=0, ddof=1))
 
     def test_requires_two_samples(self):
         spec, params, data = TestSignMatchEstimation.toy_problem(seed=6)
         with pytest.raises(ValueError):
             estimate_sigma(spec, params, data, 8, 1, RngStream(0))
+
+
+class TestEstimatorErrors:
+    G = np.array([0.5, -0.25, 1.0])
+
+    def test_exact_zero_draw_matches_no_sign(self):
+        draws = iter([self.G, np.zeros(3), np.array([-0.0, 0.0, -0.0])])
+        rates, mask = sign_match_rate_mc(draws.__next__, self.G, samples=3)
+        assert mask.all() and rates.tolist() == [1 / 3] * 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draw_rejected(self, bad):
+        draws = iter([self.G, np.array([0.5, bad, 1.0]), self.G])
+        with pytest.raises(NonFiniteError, match="sampled gradient 1 has non-finite entry"):
+            sign_match_rate_mc(draws.__next__, self.G, samples=3)
+
+    @pytest.mark.parametrize("draw", [0.5, np.ones((1, 3)), np.ones((3, 1)),
+                                      np.ones(1), np.ones(2), np.ones(4)])
+    def test_misshapen_draw_rejected(self, draw):
+        with pytest.raises(ValueError, match="sampled gradient must have shape"):
+            sign_match_rate_mc(lambda: draw, self.G, samples=2)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_checked_before_any_draw(self, samples):
+        def draw():
+            raise AssertionError("drew a gradient")
+
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sign_match_rate_mc(draw, self.G, samples=samples)
+        spec, params, data = TestSignMatchEstimation.toy_problem()
+        stream = RngStream(4, 4)
+        with pytest.raises(ValueError, match=">= 1"):
+            estimate_sign_match_profile(spec, params, data, 8, samples, stream)
+        assert stream.generator.integers(0, 2**32) == RngStream(4, 4).generator.integers(0, 2**32)
+
+    def test_zero_batch_size_rejected_before_any_gradient(self, monkeypatch):
+        spec, params, data = TestSignMatchEstimation.toy_problem()
+
+        def no_grad(*args):
+            raise AssertionError("computed a gradient")
+
+        monkeypatch.setattr(theory, "grad", no_grad)
+        for estimate in (estimate_sign_match_profile, estimate_sign_match_prob, estimate_sigma):
+            with pytest.raises(ValueError, match="batch size must be >= 1"):
+                estimate(spec, params, data, 0, 10, RngStream(0))
+
+
+# sha256 of the estimators' outputs on demo 07's data and parameters, recorded
+# before their batch indices were drawn in one call and their signs counted in one pass
+ESTIMATOR_SHA256 = {
+    "profile": "f74327f839e7cf86c7fba8578e2d726fb204567df93eda5ea18be4804993a3c5",
+    "prob": "5c516c901e5a3e80454ebaf6d5c871c72361686ba2cd48b939f372478766e27f",
+    "sigma": "4b787063b12158dfa80e9b51cf5f3a569f1acc3be898fb1891c8d39771fe8778",
+}
+
+
+def test_estimators_keep_recorded_bytes():
+    spec = ModelSpec("logistic-regression", 20, num_classes=2)
+    data, _ = generate_synthetic(RngStream(8005, 2**32), "logistic-regression", 20, 2000)
+    params = 0.1 * RngStream(8005, 1).generator.standard_normal(spec.param_dim)
+    rates, mask = estimate_sign_match_profile(spec, params, data, 32, 400, RngStream(8005, 3))
+    probs = np.array([estimate_sign_match_prob(spec, params, data, size, 400, RngStream(8005, 2))
+                      for size in (2, 15, 32, 512, data.n_samples)])
+    sigma = estimate_sigma(spec, params, data, 32, 1000, RngStream(8005, 4))
+    digests = {name: hashlib.sha256(b"".join(array.tobytes() for array in arrays)).hexdigest()
+               for name, arrays in (("profile", (rates, mask)), ("prob", (probs,)),
+                                    ("sigma", (sigma,)))}
+    assert digests == ESTIMATOR_SHA256
 
 
 class TestBoundReport:
