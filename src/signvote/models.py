@@ -17,7 +17,9 @@ One forward pass gives every family's logits (one per row for the linear and
 binary models, one per class otherwise) and the MLP's hidden layer; :func:`loss`,
 :func:`grad`, :func:`accuracy` and :func:`evaluate` (loss and accuracy at once)
 then differ only in the loss family (squared error, sigmoid cross-entropy or
-softmax), and the MLP gradient reuses that layer.
+softmax), and the MLP gradient reuses that layer.  The gradient works in the
+forward pass's own buffers, so an MLP gradient holds at most two n x hidden
+arrays at once: the hidden layer and the backward product.
 
 A batch is a 1-D int64 array of sample indices (:func:`sample_batch`,
 :func:`full_batch`); the whole dataset in order is read in place, not copied.
@@ -238,14 +240,21 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """Logits of the rows of x, and the tanh hidden layer (None without one).
 
     Linear and binary logistic models give one logit per row, shape (n,);
-    the softmax models one per class, shape (n, classes).
+    the softmax models one per class, shape (n, classes).  Each layer is built
+    in one new buffer, so the caller owns both arrays and may overwrite them.
     """
     if spec.kind == "mlp":
         w1, b1, w2, b2 = _unpack_mlp(spec, params)
-        hidden = np.tanh(x @ w1.T + b1)
-        return hidden @ w2.T + b2, hidden
+        hidden = x @ w1.T
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        z = hidden @ w2.T
+        z += b2
+        return z, hidden
     w, b = _unpack_affine(spec, params)
-    return x @ w.T + b, None
+    z = x @ w.T
+    z += b
+    return z, None
 
 
 def _libm_exp(value: float) -> float:
@@ -338,17 +347,24 @@ def grad(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> np.ndarra
         np.matmul(x.T, dz, out=out[:-1])
         out[-1] = np.add.reduce(dz)
         return out
-    ez = np.exp(z - z.max(axis=1, keepdims=True))
-    dz = ez / ez.sum(axis=1, keepdims=True)
+    # softmax minus the one-hot labels, over the n x classes logits this call owns
+    dz = z
+    dz -= dz.max(axis=1, keepdims=True)
+    np.exp(dz, out=dz)
+    dz /= dz.sum(axis=1, keepdims=True)
     dz[np.arange(y.size), y] -= 1.0
     dz /= n
     if hidden is None:
         return np.concatenate([(dz.T @ x).ravel(), dz.sum(axis=0)])
-    # backward through the output layer, then the tanh layer _forward kept
+    # backward through the output layer, then the tanh layer _forward kept:
+    # dw2 reads the hidden layer before its buffer becomes tanh' = 1 - hidden^2
     w2 = _unpack_mlp(spec, params)[2]
-    da = (dz @ w2) * (1.0 - hidden * hidden)
-    dw1, db1 = da.T @ x, da.sum(axis=0)
     dw2, db2 = dz.T @ hidden, dz.sum(axis=0)
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    da = dz @ w2
+    da *= hidden
+    dw1, db1 = da.T @ x, da.sum(axis=0)
     return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
 

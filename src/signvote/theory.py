@@ -380,8 +380,12 @@ def bound_report(snr_grid=DEFAULT_SNR_GRID, families=NOISE_FAMILIES,
     Monte Carlo rows pass when the observed rate is within three standard
     errors above the bound; exact rows pass outright.  Points outside a
     bound's validity region are reported with status ``inadmissible`` and do
-    not count as failures.
+    not count as failures.  A vote point outside ``workers >= 1``,
+    ``0 <= alpha < 1`` and ``0 < p <= 1`` raises ValueError before any work.
     """
+    vote_grid = list(itertools.product(vote_workers, vote_p, vote_alpha))
+    for n_workers, p, alpha in vote_grid:
+        _check_vote_args(n_workers, alpha, p)
     rows = []
     stream_id = 0
     for family in families:
@@ -396,17 +400,15 @@ def bound_report(snr_grid=DEFAULT_SNR_GRID, families=NOISE_FAMILIES,
                 checks.append(("sign-error-symmetric", sign_error_bound_symmetric(snr)))
             point = f"family={family} S={snr:g} samples={mc_samples}"
             rows += [_row(check, point, observed, bound, tolerance) for check, bound in checks]
-    for n_workers in vote_workers:
-        for p in vote_p:
-            for alpha in vote_alpha:
-                point = f"M={n_workers} p={p:g} alpha={alpha:g}"
-                if p * (1.0 - alpha) <= 0.5:
-                    rows.append(_row("vote-failure-cantelli", point, math.nan, math.nan,
-                                     status="inadmissible"))
-                else:
-                    rows.append(_row("vote-failure-cantelli", point,
-                                     vote_failure_exact(n_workers, alpha, p),
-                                     vote_failure_cantelli(n_workers, alpha, p)))
+    for n_workers, p, alpha in vote_grid:
+        point = f"M={n_workers} p={p:g} alpha={alpha:g}"
+        if p * (1.0 - alpha) <= 0.5:
+            rows.append(_row("vote-failure-cantelli", point, math.nan, math.nan,
+                             status="inadmissible"))
+        else:
+            rows.append(_row("vote-failure-cantelli", point,
+                             vote_failure_exact(n_workers, alpha, p),
+                             vote_failure_cantelli(n_workers, alpha, p)))
     return rows
 
 

@@ -410,6 +410,22 @@ class TestBadPathsAndCounts:
         assert "must be finite" in payload["message"]
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("vote, message", [
+        ("workers = 0\np = -0.3\nalpha = 1.5", "n_workers must be >= 1"),
+        ("workers = 0\np = 0.5\nalpha = 0", "n_workers must be >= 1"),
+        ("workers = 11\np = -0.3\nalpha = 0", "p must lie in (0, 1]"),
+        ("workers = 11\np = 0\nalpha = 0", "p must lie in (0, 1]"),
+        ("workers = 11\np = 0.9\nalpha = 1.5", "alpha must lie in [0, 1)"),
+    ])
+    def test_vote_grid_out_of_range(self, tmp_path, capsys, vote, message):
+        """A bad vote point is an error even where its row would read inadmissible."""
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"[sign-error]\nsnr =\n[vote]\n{vote}\n")
+        code, payload = run_cli(capsys, "verify-bounds", "--out", str(tmp_path / "b"),
+                                "--grid-config", str(grid))
+        assert (code, payload) == (2, {"error": "config-invalid", "message": message})
+        assert not (tmp_path / "b").exists()
+
 
 class TestReport:
     @staticmethod

@@ -538,6 +538,29 @@ class TestNoDatasetCopy:
                                       pixels.reshape(len(pixels), -1).astype(np.float64) / 255.0)
 
 
+class TestInPlacePasses:
+    """A full-batch MLP pass keeps few n x hidden temporaries live at once.
+
+    Building each layer in one buffer and overwriting it peaks at 2.7 n h
+    float64s in ``grad`` and 1.4 in ``evaluate`` at n = 4000, h = 32; the same
+    passes out of place take 4.9 and 2.1.
+    """
+
+    N, H = 4000, 32
+
+    def test_full_batch_peaks(self):
+        spec = ModelSpec("mlp", 784, hidden_dim=self.H, num_classes=10)
+        pixels, labels = mnist_shaped(self.N, seed=32)
+        data = Dataset(pixels.reshape(self.N, -1) / 255.0, labels)
+        params = initial_params(spec, RngStream(33))
+        whole = full_batch(data)
+        layer = self.N * self.H * 8
+        for call, bound in ((lambda: grad(spec, params, data, whole), 3.5),
+                            (lambda: evaluate(spec, params, data), 1.75)):
+            call()  # warm up any one-time allocation
+            assert traced_peak(call) < bound * layer
+
+
 # -- synthetic data --------------------------------------------------------------------
 
 

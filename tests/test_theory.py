@@ -442,6 +442,61 @@ def test_estimators_keep_recorded_bytes():
     assert digests == ESTIMATOR_SHA256
 
 
+class TestCallStructure:
+    """The estimators' calls on the closed forms the benchmark's traced
+    ``theory-oracles`` run checks: one sampled gradient per sample, one
+    full-batch gradient per sign-match estimate (none for sigma), one index
+    draw per sampled estimate and no per-batch ``sample_batch``.
+
+    A gradient counts as full when its batch is an object that ``full_batch``
+    returned, the way the tracer tells the two apart.
+    """
+
+    SIZES, SAMPLES = (2, 8), 10
+
+    def test_counts_on_a_small_plan(self, monkeypatch):
+        import signvote.models
+
+        spec, params, data = TestSignMatchEstimation.toy_problem()
+        counts = dict.fromkeys(("grad.worker", "grad.full", "sample_batch", "sample_batches"), 0)
+        full_batches = []
+
+        def counting(module, attr, key):
+            fn = getattr(module, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[key(*args, **kwargs) if callable(key) else key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, attr, wrapper)
+
+        def grad_kind(spec, params, data, batch):
+            return "grad.full" if any(batch is b for b in full_batches) else "grad.worker"
+
+        def recording_full_batch(data, _full_batch=theory.full_batch):
+            full_batches.append(_full_batch(data))
+            return full_batches[-1]
+
+        counting(theory, "grad", grad_kind)
+        counting(theory, "sample_batches", "sample_batches")
+        for module in (signvote.models, theory):  # wherever a per-batch draw could come from
+            if hasattr(module, "sample_batch"):
+                counting(module, "sample_batch", "sample_batch")
+        monkeypatch.setattr(theory, "full_batch", recording_full_batch)
+        sizes = self.SIZES + (data.n_samples,)
+        for stream, size in enumerate(sizes):
+            estimate_sign_match_prob(spec, params, data, size, self.SAMPLES, RngStream(4, stream))
+        estimate_sign_match_profile(spec, params, data, 4, self.SAMPLES, RngStream(4, 10))
+        estimate_sigma(spec, params, data, 4, self.SAMPLES, RngStream(4, 11))
+
+        sampled_estimates = len(self.SIZES) + 2  # the sizes, the profile and sigma
+        assert counts == {
+            "grad.worker": sampled_estimates * self.SAMPLES,
+            "grad.full": len(sizes) + 1,
+            "sample_batch": 0,
+            "sample_batches": sampled_estimates,
+        }
+
+
 class TestBoundReport:
     def test_default_grid_all_pass(self):
         rows = bound_report(mc_samples=20_000)
@@ -457,3 +512,15 @@ class TestBoundReport:
                             vote_p=(0.6,), vote_alpha=(0.3,))
         assert [row["status"] for row in rows] == ["inadmissible"]
         assert summarize_report(rows)["all_pass"]
+
+    @pytest.mark.parametrize("workers, p, alpha, message", [
+        (0, 0.5, 0.0, "n_workers must be >= 1"),
+        (11, -0.3, 0.0, r"p must lie in \(0, 1\]"),
+        (11, 0.0, 0.0, r"p must lie in \(0, 1\]"),
+        (11, 0.9, 1.5, r"alpha must lie in \[0, 1\)"),
+    ])
+    def test_out_of_range_vote_point_raises(self, workers, p, alpha, message):
+        # p * (1 - alpha) <= 1/2 at each point, so unchecked it would read inadmissible
+        with pytest.raises(ValueError, match=message):
+            bound_report(snr_grid=(), families=(), vote_workers=(workers,),
+                         vote_p=(p,), vote_alpha=(alpha,))
