@@ -18,8 +18,10 @@ binary models, one per class otherwise) and the MLP's hidden layer; :func:`loss`
 :func:`grad`, :func:`accuracy` and :func:`evaluate` (loss and accuracy at once)
 then differ only in the loss family (squared error, sigmoid cross-entropy or
 softmax), and the MLP gradient reuses that layer.  The gradient works in the
-forward pass's own buffers, so an MLP gradient holds at most two n x hidden
-arrays at once: the hidden layer and the backward product.
+forward pass's own buffers and writes each block of its output once, through
+the ``_unpack_*`` views of one new vector, so an MLP gradient holds one
+n x hidden array: the hidden layer, which becomes the hidden-layer gradient
+block by block of rows.
 
 A batch is a 1-D int64 array of sample indices (:func:`sample_batch`,
 :func:`full_batch`); the whole dataset in order is read in place, not copied.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +63,10 @@ MODEL_KINDS = ("linear-regression", "logistic-regression", "mlp")
 SYNTHETIC_KINDS = ("linear-regression", "logistic-regression")
 
 DEFAULT_HIDDEN_DIM = 32
+
+# rows per product in the MLP backward pass; a one-row tail joins the block before
+# it, since numpy forms a one-row product with gemv, whose bits differ from gemm's
+BACKWARD_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -112,11 +118,13 @@ class Dataset:
     """Feature matrix (n_samples x input_dim) plus one label per row.
 
     Regression labels are float64; classification labels are non-negative
-    integer class indices.
+    integer class indices, whose largest is kept as ``max_label`` (None for
+    float labels), so a model checks the labels once for the whole dataset.
     """
 
     features: np.ndarray
     labels: np.ndarray
+    max_label: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # C order, so that a full batch read in place has a gathered copy's layout
@@ -138,6 +146,8 @@ class Dataset:
             raise ValueError("dataset needs at least one sample")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
+        max_label = int(labels.max()) if labels.dtype.kind == "i" else None
+        object.__setattr__(self, "max_label", max_label)
 
     @property
     def n_samples(self) -> int:
@@ -190,7 +200,7 @@ def _unpack_affine(spec: ModelSpec, params: np.ndarray):
     if spec.kind == "logistic-regression" and spec.num_classes > 2:
         c = spec.num_classes
         return params[: c * d].reshape(c, d), params[c * d :]
-    return params[:d], params[d]
+    return params[:d], params[d:]
 
 
 def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
@@ -220,20 +230,18 @@ def _batch_rows(spec: ModelSpec, data: Dataset, batch):
     else:
         try:
             # take gathers rows faster than fancy indexing and bounds-checks the same way
-            x, y = _features(spec, data).take(idx, axis=0), data.labels[idx]
+            x, y = _features(spec, data).take(idx, axis=0), data.labels.take(idx)
         except IndexError:
             raise ValueError(
                 f"batch index {int(idx.max())} out of range for {data.n_samples} samples"
             ) from None
-    return x, _class_labels(spec, y) if spec.is_classification else y
-
-
-def _class_labels(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
-    if labels.dtype.kind != "i":
-        raise ValueError(f"{spec.kind} needs integer class labels")
-    if np.maximum.reduce(labels) >= spec.num_classes:
-        raise ValueError(f"label {int(labels.max())} out of range for {spec.num_classes} classes")
-    return labels
+    if spec.is_classification:
+        # the dataset's largest label, so a batch fails or passes whichever rows it drew
+        if data.max_label is None:
+            raise ValueError(f"{spec.kind} needs integer class labels")
+        if data.max_label >= spec.num_classes:
+            raise ValueError(f"label {data.max_label} out of range for {spec.num_classes} classes")
+    return x, y
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
@@ -338,34 +346,44 @@ def grad(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> np.ndarra
     x, y = _batch_rows(spec, data, batch)
     n = y.size
     z, hidden = _forward(spec, params, x)
+    out = np.empty(params.size)  # each block written once, through the _unpack_* views
     if not spec.is_classification:
+        w, b = _unpack_affine(spec, out)
         r = z - y
-        return np.concatenate([(2.0 / n) * (x.T @ r), [2.0 * np.mean(r)]])
+        np.matmul(x.T, r, out=w)
+        w *= 2.0 / n
+        b[0] = 2.0 * np.mean(r)
+        return out
     if z.ndim == 1:
         dz = (_sigmoid(z) - y) / n
-        out = np.empty(params.size)
-        np.matmul(x.T, dz, out=out[:-1])
-        out[-1] = np.add.reduce(dz)
-        return out
-    # softmax minus the one-hot labels, over the n x classes logits this call owns
-    dz = z
-    dz -= dz.max(axis=1, keepdims=True)
-    np.exp(dz, out=dz)
-    dz /= dz.sum(axis=1, keepdims=True)
-    dz[np.arange(y.size), y] -= 1.0
-    dz /= n
+    else:
+        # softmax minus the one-hot labels, over the n x classes logits this call owns
+        dz = z
+        dz -= dz.max(axis=1, keepdims=True)
+        np.exp(dz, out=dz)
+        dz /= dz.sum(axis=1, keepdims=True)
+        dz[np.arange(y.size), y] -= 1.0
+        dz /= n
     if hidden is None:
-        return np.concatenate([(dz.T @ x).ravel(), dz.sum(axis=0)])
-    # backward through the output layer, then the tanh layer _forward kept:
-    # dw2 reads the hidden layer before its buffer becomes tanh' = 1 - hidden^2
-    w2 = _unpack_mlp(spec, params)[2]
-    dw2, db2 = dz.T @ hidden, dz.sum(axis=0)
+        w, b = _unpack_affine(spec, out)
+        np.matmul(dz.T, x, out=w)
+        np.add.reduce(dz, axis=0, keepdims=dz.ndim == 1, out=b)  # b is (1,) for one logit
+        return out
+    # backward through the output layer, then the tanh layer _forward kept: dw2
+    # reads the hidden layer before its buffer becomes tanh' = 1 - hidden^2 and then
+    # da = (dz @ w2) * tanh', a block of rows at a time
+    dw1, db1, dw2, db2 = _unpack_mlp(spec, out)
+    np.matmul(dz.T, hidden, out=dw2)
+    np.add.reduce(dz, axis=0, out=db2)
     np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
-    da = dz @ w2
-    da *= hidden
-    dw1, db1 = da.T @ x, da.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+    w2 = _unpack_mlp(spec, params)[2]
+    starts = range(0, max(n - 1, 1), BACKWARD_BLOCK_ROWS)  # no block starts at row n - 1
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        hidden[lo:hi] *= dz[lo:hi] @ w2
+    np.matmul(hidden.T, x, out=dw1)
+    np.add.reduce(hidden, axis=0, out=db1)
+    return out
 
 
 def accuracy(spec: ModelSpec, params, data: Dataset) -> float:

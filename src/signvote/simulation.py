@@ -223,8 +223,8 @@ def load_data(cfg: ExperimentConfig) -> Dataset:
         if data.input_dim != spec.input_dim:
             raise IdxFormatError(f"{cfg.data.images_path}: {data.input_dim} pixels per image "
                                  f"!= model input_dim {spec.input_dim}")
-        if spec.is_classification and data.labels.max() >= spec.num_classes:
-            raise IdxFormatError(f"{cfg.data.labels_path}: label {int(data.labels.max())} out "
+        if spec.is_classification and data.max_label >= spec.num_classes:
+            raise IdxFormatError(f"{cfg.data.labels_path}: label {data.max_label} out "
                                  f"of range for {spec.num_classes} classes")
         return data
     data, _ = generate_synthetic(
