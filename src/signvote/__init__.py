@@ -12,7 +12,7 @@ The library has three layers:
 from . import adversaries, core, models, optimizers, simulation, theory
 from .core import RngStream, l1_norm, sign, sum_signs
 from .models import Dataset, ModelSpec, generate_synthetic, load_idx
-from .optimizers import OptimizerConfig, Schedule
+from .optimizers import OptimizerConfig
 from .simulation import (
     AdversaryConfig,
     ExperimentConfig,
@@ -34,7 +34,6 @@ __all__ = [
     "OptimizerConfig",
     "RngStream",
     "RunRecord",
-    "Schedule",
     "SyntheticData",
     "adversaries",
     "core",

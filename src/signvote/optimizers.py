@@ -11,7 +11,7 @@ vote whose exact ties broadcast 0 and freeze the coordinate for the round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "OptimizerConfig",
     "RULES",
     "SIGN_RULES",
-    "Schedule",
     "apply_update",
     "effective_eta",
     "prescribed_hyperparams",
@@ -35,28 +34,20 @@ SIGN_RULES = ("signsgd", "signum")
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Step decay: the learning rate is divided by decay_factor every decay_every steps."""
-
-    decay_factor: float = 10.0
-    decay_every: int = 30
-
-    def __post_init__(self):
-        # an infinite factor would zero the rate for good after the first decay
-        if not (math.isfinite(self.decay_factor) and self.decay_factor > 0):
-            raise ValueError("decay_factor must be finite and > 0")
-        if as_int(self.decay_every) < 1:
-            raise ValueError("decay_every must be >= 1")
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
+    """Update rule and its hyperparameters.
+
+    The learning rate decays in steps: ``eta`` is divided by ``decay_factor``
+    every ``decay_every`` steps (see :func:`effective_eta`).
+    """
+
     rule: str
     eta: float
     beta: float = 0.0
     weight_decay: float = 0.0
     batch_size: int = 32
-    schedule: Schedule = field(default_factory=Schedule)
+    decay_factor: float = 10.0
+    decay_every: int = 30
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -71,13 +62,18 @@ class OptimizerConfig:
             raise ValueError("weight_decay must be finite and >= 0")
         if as_int(self.batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
+        # an infinite factor would zero the rate for good after the first decay
+        if not (math.isfinite(self.decay_factor) and self.decay_factor > 0):
+            raise ValueError("decay_factor must be finite and > 0")
+        if as_int(self.decay_every) < 1:
+            raise ValueError("decay_every must be >= 1")
 
 
 def effective_eta(cfg: OptimizerConfig, step: int) -> float:
     """Learning rate at a given step index under the decay schedule."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    return cfg.eta / cfg.schedule.decay_factor ** (step // cfg.schedule.decay_every)
+    return cfg.eta / cfg.decay_factor ** (step // cfg.decay_every)
 
 
 def worker_message(cfg: OptimizerConfig, momentum: np.ndarray, grad_estimate) -> np.ndarray:

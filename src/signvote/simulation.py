@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import MISSING, astuple, dataclass, field, replace
 
 import numpy as np
@@ -50,7 +49,6 @@ from .models import (
 from .optimizers import (
     SIGN_RULES,
     OptimizerConfig,
-    Schedule,
     apply_update,
     effective_eta,
     server_aggregate_sgd,
@@ -141,7 +139,6 @@ class ExperimentConfig:
     n_rounds: int = 100
     seed: int = 0
     eval_every: int = 10
-    p_estimate: float | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -161,17 +158,6 @@ class ExperimentConfig:
                 raise ValueError(f"strategy {strategy!r} requires a sign rule, got {rule!r}")
             if strategy in SGD_ONLY_STRATEGIES and rule != "dist-sgd":
                 raise ValueError(f"strategy {strategy!r} requires rule 'dist-sgd', got {rule!r}")
-        if self.p_estimate is not None:
-            if not 0.0 < self.p_estimate <= 1.0:
-                raise ValueError("p_estimate must lie in (0, 1]")
-            edge = 1.0 - 1.0 / (2.0 * self.p_estimate)
-            if self.adversary.alpha >= edge:
-                warnings.warn(
-                    f"alpha={self.adversary.alpha:g} is at or beyond the admissible "
-                    f"fraction 1 - 1/(2p) = {edge:g} for p={self.p_estimate:g}; "
-                    "the vote-failure guarantees do not apply",
-                    stacklevel=2,
-                )
 
 
 @dataclass(frozen=True)
@@ -445,15 +431,14 @@ CONFIG_KEYS = {
     ("optimizer", "beta"): (OptimizerConfig, "beta", float),
     ("optimizer", "weight_decay"): (OptimizerConfig, "weight_decay", float),
     ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", _int),
-    ("optimizer", "decay_factor"): (Schedule, "decay_factor", float),
-    ("optimizer", "decay_every"): (Schedule, "decay_every", _int),
+    ("optimizer", "decay_factor"): (OptimizerConfig, "decay_factor", float),
+    ("optimizer", "decay_every"): (OptimizerConfig, "decay_every", _int),
     ("adversary", "strategy"): (AdversaryConfig, "strategy", str),
     ("adversary", "alpha"): (AdversaryConfig, "alpha", float),
     ("run", "workers"): (ExperimentConfig, "n_workers", _int),
     ("run", "rounds"): (ExperimentConfig, "n_rounds", _int),
     ("run", "seed"): (ExperimentConfig, "seed", _int),
     ("run", "eval_every"): (ExperimentConfig, "eval_every", _int),
-    ("run", "p_estimate"): (ExperimentConfig, "p_estimate", float),
     ("run", "out"): (ExperimentConfig, "out_dir", str),
 }
 
@@ -492,11 +477,9 @@ def parse_sections(mapping: dict, keys: dict) -> dict:
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
     """Flatten a config into the five-section mapping used by config files.
 
-    Fields that are None (no hidden layer, p estimate or output directory)
-    are left out.
+    Fields that are None (no hidden layer or output directory) are left out.
     """
-    parts = {type(part): part for part in (cfg, cfg.model, cfg.data, cfg.optimizer,
-                                          cfg.optimizer.schedule, cfg.adversary)}
+    parts = {type(part): part for part in (cfg, cfg.model, cfg.data, cfg.optimizer, cfg.adversary)}
     source_names = {cls: name for name, cls in _DATA_SOURCES.items()}
     mapping = {section: {} for section, _ in CONFIG_KEYS}
     for (section, key), (cls, name, _) in CONFIG_KEYS.items():
@@ -540,6 +523,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         ExperimentConfig,
         model=model,
         data=build(_DATA_SOURCES[source]),
-        optimizer=build(OptimizerConfig, schedule=build(Schedule)),
+        optimizer=build(OptimizerConfig),
         adversary=build(AdversaryConfig),
     )

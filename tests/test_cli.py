@@ -297,6 +297,18 @@ class TestMisspeltConfig:
         assert (code, payload["error"]) == (2, "config-invalid")
         assert payload["message"] == "unknown config key 'bata' in section [optimizer]"
 
+    def test_removed_p_estimate_key(self, tmp_path, capfd):
+        """run.p_estimate is an unknown key: JSON on stdout, exit 2, nothing on stderr."""
+        done = subprocess.run([sys.executable, "-m", "signvote.cli", "run", "--config",
+                               BLIND_CONFIG, "--out", str(tmp_path / "x"),
+                               "--set", "run.p_estimate=0.6"], env=source_env(), timeout=120)
+        out, err = capfd.readouterr()
+        assert done.returncode == 2
+        assert json.loads(out) == {"error": "config-invalid", "message":
+                                   "unknown config key 'p_estimate' in section [run]"}
+        assert err == ""
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", [["sweep", "--alphas", "0", "--rules", "signsgd"],
                                          ["gradient-check"]])
     def test_other_config_commands(self, tmp_path, capsys, command):

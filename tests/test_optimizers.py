@@ -6,7 +6,6 @@ import pytest
 
 from signvote.optimizers import (
     OptimizerConfig,
-    Schedule,
     apply_update,
     effective_eta,
     prescribed_hyperparams,
@@ -122,7 +121,7 @@ class TestApplyUpdate:
         np.testing.assert_array_equal(out, [-0.1, 0.1])
 
     def test_decay_boundaries(self):
-        c = cfg(eta=1.0, schedule=Schedule(10.0, 30))
+        c = cfg(eta=1.0, decay_factor=10.0, decay_every=30)
         assert effective_eta(c, 0) == 1.0
         assert effective_eta(c, 29) == 1.0
         assert effective_eta(c, 30) == pytest.approx(0.1)
@@ -135,7 +134,7 @@ class TestApplyUpdate:
         np.testing.assert_array_equal(out, x)
 
     def test_sign_step_moves_by_exactly_eta(self):
-        c = cfg(eta=0.25, schedule=Schedule(10.0, 30))
+        c = cfg(eta=0.25, decay_factor=10.0, decay_every=30)
         direction = np.array([1, 0, -1], dtype=np.int8)
         out = apply_update(c, np.zeros(3), direction, 0)
         assert set(np.unique(out)) <= {-0.25, 0.0, 0.25}
@@ -191,10 +190,7 @@ class TestOptimizerConfig:
     def test_integer_fields_reject_floats(self, field):
         for bad in (30.0, True):
             with pytest.raises(TypeError):
-                if field == "decay_every":
-                    Schedule(decay_every=bad)
-                else:
-                    OptimizerConfig("signum", eta=0.1, batch_size=bad)
+                OptimizerConfig("signum", eta=0.1, **{field: bad})
 
     def test_signum_momentum_allowed(self):
         assert OptimizerConfig("signum", eta=0.1, beta=0.9).beta == 0.9
@@ -208,6 +204,8 @@ class TestOptimizerConfig:
             {"eta": 0.1, "beta": -0.1},
             {"eta": 0.1, "weight_decay": -1.0},
             {"eta": 0.1, "batch_size": 0},
+            {"eta": 0.1, "decay_factor": 0.0},
+            {"eta": 0.1, "decay_every": 0},
         ],
     )
     def test_invalid_fields(self, kw):
@@ -224,10 +222,7 @@ class TestOptimizerConfig:
         # NaN passes a bare `x <= 0` check; an infinite decay factor would zero the
         # rate for good after the first decay, so it is rejected too
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            if field == "decay_factor":
-                Schedule(decay_factor=value)
-            else:
-                OptimizerConfig("signum", **{"eta": 0.1, field: value})
+            OptimizerConfig("signum", **{"eta": 0.1, field: value})
 
 
 class TestAggregationPermutationInvariance:

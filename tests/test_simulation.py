@@ -9,7 +9,7 @@ import pytest
 
 from signvote.core import NonFiniteError, RngStream
 from signvote.models import ModelSpec
-from signvote.optimizers import OptimizerConfig, Schedule
+from signvote.optimizers import OptimizerConfig
 from signvote.simulation import (
     CONFIG_KEYS,
     AdversaryConfig,
@@ -32,16 +32,16 @@ from signvote.simulation import (
 
 def make_config(rule="signsgd", eta=0.05, beta=0.0, strategy="none", alpha=0.0,
                 workers=5, rounds=40, seed=123, kind="logistic-regression",
-                input_dim=6, samples=200, batch_size=8, schedule=None, **kw):
+                input_dim=6, samples=200, batch_size=8, decay_factor=10.0, **kw):
     if kind == "logistic-regression":
         model = ModelSpec(kind, input_dim, num_classes=2)
     else:
         model = ModelSpec(kind, input_dim)
-    opt_kw = {"schedule": schedule} if schedule is not None else {}
     return ExperimentConfig(
         model=model,
         data=SyntheticData(kind=kind, n_samples=samples),
-        optimizer=OptimizerConfig(rule, eta, beta=beta, batch_size=batch_size, **opt_kw),
+        optimizer=OptimizerConfig(rule, eta, beta=beta, batch_size=batch_size,
+                                  decay_factor=decay_factor),
         n_workers=workers,
         adversary=AdversaryConfig(strategy, alpha),
         n_rounds=rounds,
@@ -199,7 +199,7 @@ class TestAgainstNaiveReference:
         cfg = make_config(
             rule="dist-sgd", eta=0.05, workers=1, rounds=500, seed=5,
             kind="linear-regression", input_dim=4, samples=50, batch_size=50,
-            schedule=Schedule(1.0, 30),
+            decay_factor=1.0,
         )
         record = run_experiment(cfg)
         assert record.metrics[-1].train_loss < 1e-3 * record.metrics[0].train_loss
@@ -392,15 +392,6 @@ class TestReplicaConsistency:
 
 
 class TestConfigValidation:
-    def test_admissibility_warning(self):
-        with pytest.warns(UserWarning, match="admissible"):
-            make_config(strategy="blind-invert", alpha=0.45, p_estimate=0.8)
-
-    def test_no_warning_when_admissible(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            make_config(strategy="blind-invert", alpha=0.2, p_estimate=0.9)
-
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             make_config(workers=0)
@@ -513,13 +504,12 @@ def every_key_configs():
     """An IDX and a synthetic config that between them set every key of CONFIG_KEYS."""
     shared = dict(
         optimizer=OptimizerConfig("signum", 0.01, beta=0.5, weight_decay=1e-3, batch_size=4,
-                                  schedule=Schedule(decay_factor=2.0, decay_every=7)),
+                                  decay_factor=2.0, decay_every=7),
         n_workers=4,
         adversary=AdversaryConfig("blind-invert", 0.25),
         n_rounds=12,
         seed=3,
         eval_every=4,
-        p_estimate=0.9,
         out_dir="runs/every-key",
     )
     return [
@@ -552,6 +542,15 @@ class TestConfigMapping:
             assert config_from_mapping(as_text) == cfg
             assert config_from_mapping(json.loads(json.dumps(mapping))) == cfg
         assert keys == set(CONFIG_KEYS)
+
+    def test_one_dataclass_per_section(self):
+        """Only [data] fills more than one class: its source and the source's keys."""
+        owners = {}
+        for (section, _), (cls, _, _) in CONFIG_KEYS.items():
+            owners.setdefault(section, set()).add(cls)
+        assert owners == {"model": {ModelSpec}, "data": {ExperimentConfig, SyntheticData, IdxData},
+                          "optimizer": {OptimizerConfig}, "adversary": {AdversaryConfig},
+                          "run": {ExperimentConfig}}
 
     @pytest.mark.parametrize("name", sorted(BUNDLED_MAPPINGS))
     def test_bundled_config_mapping_as_recorded(self, name):
