@@ -35,22 +35,23 @@ majority is expected to lose.  With p = 1 both sides are exactly zero.
 eta, batch = prescribed_hyperparams(f0=2.0, fstar=0.0, smoothness_l1=4.0, n_rounds=400)
 print(f"prescribed hyperparameters for a 400-round run: eta = {eta:.4f}, batch = {batch}")
 
+p = 0.9
 inputs = BoundInputs(
     sigma=np.full(20, 0.5), smoothness=np.full(20, 0.2),
-    f0=2.0, fstar=0.0, p=0.9, n_workers=15, alpha=0.2, n_rounds=400,
+    f0=2.0, fstar=0.0, n_workers=15, alpha=0.2, n_rounds=400,
 )
 print(f"\nrate bound, blind adversaries (alpha = {inputs.alpha}):     "
       f"{rate_bound_blind(inputs):.4f}")
-print(f"rate bound, omniscient adversaries (p = {inputs.p}): "
-      f"{rate_bound_byzantine(inputs):.4f}")
+print(f"rate bound, omniscient adversaries (p = {p}): "
+      f"{rate_bound_byzantine(inputs, p):.4f}")
 
-edge = 1 - 1 / (2 * inputs.p)
-print(f"\nadmissible adversarial fraction for p = {inputs.p}: alpha < {edge:.3f}")
+edge = 1 - 1 / (2 * p)
+print(f"\nadmissible adversarial fraction for p = {p}: alpha < {edge:.3f}")
 for alpha in (0.0, 0.2, 0.35, 0.43):
     bumped = BoundInputs(
         sigma=inputs.sigma, smoothness=inputs.smoothness, f0=2.0, fstar=0.0,
-        p=0.9, n_workers=15, alpha=alpha, n_rounds=400,
+        n_workers=15, alpha=alpha, n_rounds=400,
     )
-    print(f"  alpha = {alpha:4.2f}: bound = {rate_bound_byzantine(bumped):9.4f}")
+    print(f"  alpha = {alpha:4.2f}: bound = {rate_bound_byzantine(bumped, p):9.4f}")
 print("the adversary term has a pole at the edge; doubling the round count")
 print("halves the whole bound (the total gradient-call budget is rounds squared).")

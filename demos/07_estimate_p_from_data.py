@@ -40,8 +40,8 @@ p32 = estimate_sign_match_prob(spec, params, data, 32, 400, RngStream(8005, 5))
 f0 = loss(spec, params, data, full_batch(data))
 inputs = BoundInputs(
     sigma=sigma, smoothness=np.full(spec.param_dim, 0.25),
-    f0=f0, fstar=0.0, p=p32, n_workers=15, alpha=0.2, n_rounds=300,
+    f0=f0, fstar=0.0, n_workers=15, alpha=0.2, n_rounds=300,
 )
 print(f"\nempirical |sigma|_1 = {sigma.sum():.3f}, p = {p32:.3f}, f0 = {f0:.4f}")
-print(f"rate bound with 20% omniscient adversaries: {rate_bound_byzantine(inputs):.4f}")
+print(f"rate bound with 20% omniscient adversaries: {rate_bound_byzantine(inputs, p32):.4f}")
 print(f"admissibility edge for this p: alpha < {1 - 1 / (2 * p32):.3f}")

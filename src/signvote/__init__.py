@@ -20,7 +20,6 @@ from .simulation import (
     RunRecord,
     SyntheticData,
     run_experiment,
-    run_sweep,
 )
 
 __version__ = "0.1.0"
@@ -43,7 +42,6 @@ __all__ = [
     "models",
     "optimizers",
     "run_experiment",
-    "run_sweep",
     "sign",
     "simulation",
     "sum_signs",

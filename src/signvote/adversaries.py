@@ -112,7 +112,7 @@ def byz_inverse_sum(honest, f: int) -> np.ndarray:
     returns an (f, d) block: zero minus the left-to-right sum of the honest
     rows, then f - 1 zero rows.  The server sums messages in the same order
     with honest ones first, so the mean over all workers is the exact zero
-    vector, bit for bit, and the round's update is a no-op (weight decay aside).
+    vector, bit for bit, and the round's update is a no-op.
     """
     if f < 1:
         raise ValueError("inverse-sum attack needs f >= 1 adversaries")

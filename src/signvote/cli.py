@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import os
 import sys
@@ -44,6 +45,10 @@ def _emit(payload: dict) -> None:
     write_json(payload, sys.stdout)
 
 
+class _UsageError(Exception):
+    """An output path that cannot be used: :func:`main` reports a ``usage`` error."""
+
+
 def _error(kind: str, message: str, code: int = EXIT_USAGE, **fields) -> int:
     _emit({"error": kind, "message": message, **fields})
     return code
@@ -69,26 +74,33 @@ def _read_config(path: str, overrides=()) -> dict:
     return mapping
 
 
-def _make_dir(path: str) -> str:
+@contextlib.contextmanager
+def _writing(path: str):
+    """Block that writes ``path``; an OSError in it becomes a usage error naming it."""
     try:
+        yield path
+    except OSError as exc:  # e.g. the path is a directory, or lies under a file
+        raise _UsageError(f"cannot write {path!r}: {exc}") from exc
+
+
+def _make_dir(path: str) -> str:
+    with _writing(path):
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:  # e.g. the path names an existing file
-        raise ValueError(f"cannot use {path!r} as output directory: {exc}") from exc
     return path
 
 
 def _resolve_out(args, cfg) -> str:
     out = args.out or cfg.out_dir
     if not out:
-        raise ValueError("no output directory: pass --out or set run.out in the config")
+        raise _UsageError("no output directory: pass --out or set run.out in the config")
     return _make_dir(out)
 
 
 def _write_run(record: RunRecord, out_dir: str) -> dict:
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    summary_path = os.path.join(out_dir, "summary.json")
-    write_metrics_csv(record, metrics_path)
-    write_summary_json(record, summary_path)
+    with _writing(os.path.join(out_dir, "metrics.csv")) as path:
+        write_metrics_csv(record, path)
+    with _writing(os.path.join(out_dir, "summary.json")) as path:
+        write_summary_json(record, path)
     last = record.metrics[-1]
     return {
         "out": out_dir,
@@ -101,16 +113,12 @@ def _write_run(record: RunRecord, out_dir: str) -> dict:
 def _with_config(args, body) -> int:
     """Shared config-loading error handling for run-like commands."""
     try:
-        mapping = _read_config(args.config, args.set)
+        cfg = config_from_mapping(_read_config(args.config, args.set))
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     except OSError as exc:
         return _error("config-not-found", f"cannot read config: {exc}")
     except (configparser.Error, ValueError) as exc:
-        return _error("config-invalid", str(exc))
-    try:
-        cfg = config_from_mapping(mapping)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-    except ValueError as exc:
         return _error("config-invalid", str(exc))
     try:
         return body(cfg)
@@ -120,16 +128,12 @@ def _with_config(args, body) -> int:
 
 def _cmd_run(args) -> int:
     def body(cfg) -> int:
-        try:
-            out = _resolve_out(args, cfg)
-        except ValueError as exc:
-            return _error("usage", str(exc))
+        out = _resolve_out(args, cfg)
         try:
             record = run_experiment(cfg)
         except DivergedError as exc:
             return _diverged(exc)
-        result = _write_run(record, out)
-        _emit({"status": "ok", **result})
+        _emit({"status": "ok", **_write_run(record, out)})
         return EXIT_OK
 
     return _with_config(args, body)
@@ -192,28 +196,22 @@ def _read_grid_config(path: str) -> dict:
 
 
 def _cmd_verify_bounds(args) -> int:
-    kwargs = {}
-    if args.grid_config:
-        try:
-            kwargs = _read_grid_config(args.grid_config)
-        except OSError as exc:
-            return _error("config-not-found", f"cannot read grid config: {exc}")
-        except (configparser.Error, ValueError) as exc:
-            return _error("config-invalid", str(exc))
     try:
+        kwargs = _read_grid_config(args.grid_config) if args.grid_config else {}
         rows = theory.bound_report(**kwargs)
-    except ValueError as exc:
+    except OSError as exc:
+        return _error("config-not-found", f"cannot read grid config: {exc}")
+    except (configparser.Error, ValueError) as exc:
         return _error("config-invalid", str(exc))
     if not rows:
         return _error("empty-grid", "the configured grids contain no check points")
-    try:
-        out = _make_dir(args.out or ".")
-    except ValueError as exc:
-        return _error("usage", str(exc))
-    write_csv(os.path.join(out, "bounds.csv"), theory.REPORT_HEADER,
-              ([row[key] for key in theory.REPORT_HEADER] for row in rows))
+    out = _make_dir(args.out or ".")
+    with _writing(os.path.join(out, "bounds.csv")) as path:
+        write_csv(path, theory.REPORT_HEADER,
+                  ([row[key] for key in theory.REPORT_HEADER] for row in rows))
     summary = theory.summarize_report(rows)
-    with open(os.path.join(out, "bounds_summary.json"), "w", encoding="utf-8") as handle:
+    with (_writing(os.path.join(out, "bounds_summary.json")) as path,
+          open(path, "w", encoding="utf-8") as handle):
         write_json(summary, handle, indent=2)
     _emit({"status": "ok" if summary["all_pass"] else "violations", **summary})
     return EXIT_OK if summary["all_pass"] else EXIT_FAIL
@@ -260,6 +258,9 @@ def _load_run_dir(run_dir: str) -> dict:
         step_i, loss_i = header.index("step"), header.index("loss")
         for line in handle:
             cells = line.strip().split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"metrics.csv line {len(steps) + 2}: {len(cells)} cells "
+                                 f"under a {len(header)}-cell header")
             steps.append(int(cells[step_i]))
             losses.append(float(cells[loss_i]))
     if not steps:
@@ -288,13 +289,10 @@ def _cmd_report(args) -> int:
                      run["accuracy"], steps_to))
     if not rows:
         return _error("no-valid-runs", "none of the given run directories were readable")
-    out_path = args.out or "report.csv"
-    try:
+    with _writing(args.out or "report.csv") as out_path:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         write_csv(out_path, ("rule", "alpha", "final_loss", "final_accuracy",
                              "steps_to_threshold"), rows)
-    except OSError as exc:  # e.g. --out names a directory, or a path under a file
-        return _error("usage", f"cannot write report {out_path!r}: {exc}")
     _emit({"status": "ok", "out": out_path, "rows": len(rows)})
     return EXIT_OK
 
@@ -348,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        return _error("usage", str(exc))
 
 
 if __name__ == "__main__":

@@ -412,9 +412,9 @@ def evaluate(spec: ModelSpec, params, data: Dataset) -> tuple[float, float]:
 # -- oracles -------------------------------------------------------------------
 
 
-def finite_difference_grad(spec: ModelSpec, params, data: Dataset, batch: np.ndarray,
-                           step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient; the independent yardstick for :func:`grad`."""
+def finite_difference_grad(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> np.ndarray:
+    """Central-difference gradient with step 1e-6; the independent yardstick for :func:`grad`."""
+    step = 1e-6
     base = _check_params(spec, params).copy()
     out = np.empty_like(base)
     for i in range(base.size):
@@ -428,12 +428,11 @@ def finite_difference_grad(spec: ModelSpec, params, data: Dataset, batch: np.nda
     return out
 
 
-def max_relative_grad_error(spec: ModelSpec, params, data: Dataset, batch: np.ndarray,
-                            step: float = 1e-6) -> float:
+def max_relative_grad_error(spec: ModelSpec, params, data: Dataset, batch: np.ndarray) -> float:
     """Max-norm gap between analytic and central-difference gradients,
     relative to the gradient's own scale (floored at 1e-8)."""
     analytic = grad(spec, params, data, batch)
-    numeric = finite_difference_grad(spec, params, data, batch, step=step)
+    numeric = finite_difference_grad(spec, params, data, batch)
     scale = max(float(np.abs(analytic).max()), 1e-8)
     return float(np.abs(analytic - numeric).max()) / scale
 

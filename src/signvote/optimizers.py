@@ -6,6 +6,7 @@ momentum array, and transmit either ``sign(v)`` (sign rules) or
 the raw estimate (dist-sgd).  The server is a one-liner either way: the mean
 of dense messages, or the sign of the coordinate-wise sign sum -- a majority
 vote whose exact ties broadcast 0 and freeze the coordinate for the round.
+Every rule then takes the plain step ``x <- x - eta_t * direction``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class OptimizerConfig:
     rule: str
     eta: float
     beta: float = 0.0
-    weight_decay: float = 0.0
     batch_size: int = 32
     decay_factor: float = 10.0
     decay_every: int = 30
@@ -58,8 +58,6 @@ class OptimizerConfig:
             raise ValueError("beta must lie in [0, 1)")
         if self.rule != "signum" and self.beta != 0.0:
             raise ValueError(f"{self.rule} requires beta = 0; use rule 'signum' for momentum")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError("weight_decay must be finite and >= 0")
         if as_int(self.batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
         # an infinite factor would zero the rate for good after the first decay
@@ -118,7 +116,7 @@ def server_aggregate_sgd(messages) -> np.ndarray:
 
 
 def apply_update(cfg: OptimizerConfig, x, direction, step: int) -> np.ndarray:
-    """One descent step: ``x - eta_t * (direction + weight_decay * x)``.
+    """One descent step: ``x - eta_t * direction``.
 
     ``direction`` is the broadcast sign vector for sign rules or the mean
     gradient for dist-sgd; ``eta_t`` follows the decay schedule.
@@ -127,7 +125,7 @@ def apply_update(cfg: OptimizerConfig, x, direction, step: int) -> np.ndarray:
     dv = np.asarray(direction, dtype=np.float64)
     if dv.shape != xv.shape:
         raise ValueError(f"direction shape {dv.shape} != parameter shape {xv.shape}")
-    return xv - effective_eta(cfg, step) * (dv + cfg.weight_decay * xv)
+    return xv - effective_eta(cfg, step) * dv
 
 
 def prescribed_hyperparams(f0: float, fstar: float, smoothness_l1: float,

@@ -74,7 +74,6 @@ __all__ = [
     "load_data",
     "parse_sections",
     "run_experiment",
-    "run_sweep",
     "sweep_configs",
     "write_csv",
     "write_json",
@@ -333,11 +332,6 @@ def sweep_configs(base: ExperimentConfig, alpha_grid, rule_grid):
     return pairs
 
 
-def run_sweep(base: ExperimentConfig, alpha_grid, rule_grid) -> list[RunRecord]:
-    """One run per (alpha, rule) combination; see :func:`sweep_configs`."""
-    return [run_experiment(cfg) for _, cfg in sweep_configs(base, alpha_grid, rule_grid)]
-
-
 # -- artifacts -----------------------------------------------------------------
 
 # RoundMetrics' fields in order: write_metrics_csv writes each row's astuple
@@ -429,7 +423,6 @@ CONFIG_KEYS = {
     ("optimizer", "rule"): (OptimizerConfig, "rule", str),
     ("optimizer", "eta"): (OptimizerConfig, "eta", float),
     ("optimizer", "beta"): (OptimizerConfig, "beta", float),
-    ("optimizer", "weight_decay"): (OptimizerConfig, "weight_decay", float),
     ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", _int),
     ("optimizer", "decay_factor"): (OptimizerConfig, "decay_factor", float),
     ("optimizer", "decay_every"): (OptimizerConfig, "decay_every", _int),

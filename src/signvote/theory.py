@@ -58,32 +58,26 @@ class BoundInputs:
     """Inputs to the convergence-rate formulas.
 
     ``sigma`` and ``smoothness`` are the per-coordinate noise scales and
-    smoothness constants; their l1 norms enter the bounds.  ``p`` is the
-    per-worker probability that a stochastic gradient coordinate carries the
-    true sign.
+    smoothness constants; their l1 norms enter the bounds.
     """
 
     sigma: np.ndarray
     smoothness: np.ndarray
     f0: float
     fstar: float
-    p: float
     n_workers: int
     alpha: float
     n_rounds: int
 
     def __post_init__(self):
-        sigma = as_vector(self.sigma, "sigma")
-        smoothness = as_vector(self.smoothness, "smoothness")
-        if (sigma < 0).any():
-            raise ValueError("sigma entries must be >= 0")
-        if (smoothness < 0).any():
-            raise ValueError("smoothness entries must be >= 0")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "smoothness", smoothness)
+        for name in ("sigma", "smoothness"):
+            values = as_vector(getattr(self, name), name)
+            if (values < 0).any():
+                raise ValueError(f"{name} entries must be >= 0")
+            object.__setattr__(self, name, values)
         if self.f0 < self.fstar:
             raise ValueError("f0 must be >= fstar")
-        _check_vote_args(self.n_workers, self.alpha, self.p)
+        _check_workers(self.n_workers, self.alpha)
         if as_int(self.n_rounds) < 1:
             raise ValueError("n_rounds must be >= 1")
 
@@ -202,11 +196,15 @@ def _binomial_cdf(k: int, n: int, p: float) -> float:
     return min(1.0, math.exp(log_total))
 
 
-def _check_vote_args(n_workers: int, alpha: float, p: float) -> None:
+def _check_workers(n_workers: int, alpha: float) -> None:
     if as_int(n_workers) < 1:
         raise ValueError("n_workers must be >= 1")
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
+
+
+def _check_vote_args(n_workers: int, alpha: float, p: float) -> None:
+    _check_workers(n_workers, alpha)
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
 
@@ -261,40 +259,44 @@ def rate_bound_blind(inputs: BoundInputs) -> float:
     return _rate_bound(inputs, 1.0 - 2.0 * inputs.alpha)
 
 
-def rate_bound_byzantine(inputs: BoundInputs) -> float:
+def rate_bound_byzantine(inputs: BoundInputs, p: float) -> float:
     """Rate bound for arbitrary (omniscient, colluding) adversaries.
 
     4/sqrt(N) [ 1/(2 sqrt(2)) 1/(p(1-alpha) - 1/2) |sigma|_1 / sqrt(M)
                 + sqrt(|L|_1 (f0 - fstar)) ]^2
-    valid for alpha < 1 - 1/(2p); the noise term has a pole at that edge.
+    where ``p`` is the per-worker probability that a stochastic gradient
+    coordinate carries the true sign.  Valid for alpha < 1 - 1/(2p); the
+    noise term has a pole at that edge.
     """
-    margin = inputs.p * (1.0 - inputs.alpha) - 0.5
+    _check_vote_args(inputs.n_workers, inputs.alpha, p)
+    margin = p * (1.0 - inputs.alpha) - 0.5
     if margin <= 0:
-        raise ValueError(
-            f"requires alpha < 1 - 1/(2p): got p={inputs.p:g}, alpha={inputs.alpha:g}"
-        )
+        raise ValueError(f"requires alpha < 1 - 1/(2p): got p={p:g}, alpha={inputs.alpha:g}")
     return _rate_bound(inputs, 2.0 * math.sqrt(2.0) * margin)
 
 
 # -- empirical estimation of p and sigma ------------------------------------------
 
+# |true gradient| at or below this masks a coordinate out of the sign-match rates
+GRADIENT_FLOOR = 1e-8
 
-def sign_match_rate_mc(sample_grad, true_grad, samples: int,
-                       floor: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+
+def sign_match_rate_mc(sample_grad, true_grad, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate rate at which sampled gradients carry the true sign.
 
     ``sample_grad`` is a zero-argument callable returning one stochastic
-    gradient.  Coordinates with |true gradient| <= floor are masked out (the
-    target sign is ill-defined there).  The draws are stored as one
+    gradient.  Coordinates with |true gradient| <= :data:`GRADIENT_FLOOR` are
+    masked out (the target sign is ill-defined there).  The draws are stored as one
     (samples, d) block, then checked for finiteness and counted in one pass.
     Returns (rates, mask).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     g = as_vector(true_grad, "true gradient")
-    mask = np.abs(g) > floor
+    mask = np.abs(g) > GRADIENT_FLOOR
     if not mask.any():
-        raise ValueError(f"every coordinate of the true gradient is below the floor {floor:g}")
+        raise ValueError("every coordinate of the true gradient is below the floor "
+                         f"{GRADIENT_FLOOR:g}")
     draws = np.empty((samples, g.size))
     for i in range(samples):
         draw = np.asarray(sample_grad(), dtype=np.float64)
@@ -309,8 +311,7 @@ def sign_match_rate_mc(sample_grad, true_grad, samples: int,
 
 
 def estimate_sign_match_profile(spec: ModelSpec, params, data: Dataset, batch_size: int,
-                                samples: int, rng: RngStream,
-                                floor: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+                                samples: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate sign-match rates of minibatch gradients vs the full gradient.
 
     Requesting ``batch_size == data.n_samples`` disables resampling and uses
@@ -322,16 +323,14 @@ def estimate_sign_match_profile(spec: ModelSpec, params, data: Dataset, batch_si
     batches = None if full else sample_batches(rng, data.n_samples, batch_size, samples)
     true_grad = grad(spec, params, data, full_batch(data))
     draws = itertools.repeat(true_grad) if full else (grad(spec, params, data, b) for b in batches)
-    return sign_match_rate_mc(draws.__next__, true_grad, samples, floor=floor)
+    return sign_match_rate_mc(draws.__next__, true_grad, samples)
 
 
 def estimate_sign_match_prob(spec: ModelSpec, params, data: Dataset, batch_size: int,
-                             samples: int, rng: RngStream, floor: float = 1e-8) -> float:
+                             samples: int, rng: RngStream) -> float:
     """Scalar p: the profile of :func:`estimate_sign_match_profile` averaged
     over the coordinates above the gradient floor."""
-    rates, mask = estimate_sign_match_profile(
-        spec, params, data, batch_size, samples, rng, floor=floor
-    )
+    rates, mask = estimate_sign_match_profile(spec, params, data, batch_size, samples, rng)
     return float(rates[mask].mean())
 
 

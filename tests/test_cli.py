@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from signvote.cli import main
+from signvote.cli import GRID_KEYS, main
+from signvote.simulation import CONFIG_KEYS
 
 REPO = Path(__file__).resolve().parents[1]
 BLIND_CONFIG = str(REPO / "configs" / "logistic_blind.cfg")
@@ -297,15 +299,17 @@ class TestMisspeltConfig:
         assert (code, payload["error"]) == (2, "config-invalid")
         assert payload["message"] == "unknown config key 'bata' in section [optimizer]"
 
-    def test_removed_p_estimate_key(self, tmp_path, capfd):
-        """run.p_estimate is an unknown key: JSON on stdout, exit 2, nothing on stderr."""
+    @pytest.mark.parametrize("section, key, value", [("run", "p_estimate", "0.6"),
+                                                     ("optimizer", "weight_decay", "0")])
+    def test_removed_key(self, tmp_path, capfd, section, key, value):
+        """A removed key is an unknown key: JSON on stdout, exit 2, nothing on stderr."""
         done = subprocess.run([sys.executable, "-m", "signvote.cli", "run", "--config",
                                BLIND_CONFIG, "--out", str(tmp_path / "x"),
-                               "--set", "run.p_estimate=0.6"], env=source_env(), timeout=120)
+                               "--set", f"{section}.{key}={value}"], env=source_env(), timeout=120)
         out, err = capfd.readouterr()
         assert done.returncode == 2
         assert json.loads(out) == {"error": "config-invalid", "message":
-                                   "unknown config key 'p_estimate' in section [run]"}
+                                   f"unknown config key {key!r} in section [{section}]"}
         assert err == ""
         assert not (tmp_path / "x").exists()
 
@@ -348,8 +352,7 @@ class TestBadNumbers:
         assert "seed must be an unsigned 64-bit integer" in payload["message"]
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("override", ["optimizer.eta=nan", "optimizer.weight_decay=nan",
-                                          "optimizer.decay_factor=nan",
+    @pytest.mark.parametrize("override", ["optimizer.eta=nan", "optimizer.decay_factor=nan",
                                           "optimizer.decay_factor=inf", "data.noise_level=nan"])
     def test_non_finite_value(self, tmp_path, capsys, override):
         cfg = write_quick_config(tmp_path)
@@ -393,6 +396,28 @@ class TestBadPathsAndCounts:
         code, payload = run_cli(capsys, "report", *dirs, "--out", out)
         assert (code, payload["error"]) == (2, "usage")
         assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("run", "metrics.csv"), ("run", "summary.json"),
+        ("sweep", "signsgd-alpha0/metrics.csv"), ("sweep", "signsgd-alpha0/summary.json"),
+        ("verify-bounds", "bounds.csv"), ("verify-bounds", "bounds_summary.json"),
+    ])
+    def test_output_file_is_a_directory(self, tmp_path, capsys, command, blocked):
+        """An output file that cannot be written is a usage error that names it,
+        not a dataset error or a traceback."""
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        if command == "verify-bounds":
+            grid = tmp_path / "grid.cfg"
+            grid.write_text("[sign-error]\nsnr =\n[vote]\nworkers = 11\np = 0.9\nalpha = 0\n")
+            args = ["--grid-config", str(grid)]
+        else:
+            args = ["--config", write_quick_config(tmp_path)]
+        if command == "sweep":
+            args += ["--alphas", "0", "--rules", "signsgd"]
+        code, payload = run_cli(capsys, command, "--out", str(out), *args)
+        assert (code, payload["error"]) == (2, "usage")
+        assert payload["message"].startswith(f"cannot write {str(out / blocked)!r}: ")
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_gradient_check_needs_a_point(self, tmp_path, capsys, points):
@@ -530,6 +555,37 @@ class TestReport:
         assert "Traceback" not in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 
+    def test_weight_decay_echo_skipped_with_warning(self, tmp_path, capsys):
+        """A summary.json whose config echo still holds the removed weight_decay
+        key no longer replays."""
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        summary = Path(dirs[0]) / "summary.json"
+        payload = json.loads(summary.read_text())
+        payload["config"]["optimizer"]["weight_decay"] = 0.0
+        summary.write_text(json.dumps(payload))
+        code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert (f"warning: skipping {dirs[0]}: unknown config key 'weight_decay' in "
+                "section [optimizer]") in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
+
+    @pytest.mark.parametrize("kept", [1, 3])
+    def test_short_metrics_row_skipped_with_warning(self, tmp_path, capsys, kept):
+        """A metrics.csv whose last row lost its tail, as a truncated file does."""
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        metrics = Path(dirs[0]) / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:kept])
+        metrics.write_text("\n".join(lines))
+        code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        line = len(lines)
+        assert (f"warning: skipping {dirs[0]}: metrics.csv line {line}: {kept} cells under a "
+                "6-cell header") in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
+
     def test_report_bytes_as_recorded(self, tmp_path, capsys):
         """Three blind-invert runs and a regression run (NaN accuracy), with a
         threshold two of them reach; the bytes report wrote before it shared
@@ -654,3 +710,28 @@ class TestDiverged:
         assert code == 0
         assert payload["status"] == "ok"
         assert 1e299 < payload["final_loss"] < float("inf")
+
+
+def readme_keys(anchor: str) -> set:
+    """(section, key) pairs listed by the first ``| section | keys |`` table after
+    ``anchor`` in README.md; backticked names in parentheses are values, not keys."""
+    text = (REPO / "README.md").read_text()
+    start = text.index("| section | keys |", text.index(anchor))
+    keys = set()
+    for line in text[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        _, section, cell, _ = line.split("|")
+        cell = re.sub(r"\([^)]*\)", "", cell)
+        keys |= {(section.strip().strip("`[]"), key) for key in re.findall(r"`([^`]+)`", cell)}
+    return keys
+
+
+class TestReadmeKeyTables:
+    """README's key tables list exactly the keys the parsers accept."""
+
+    def test_run_config_table(self):
+        assert readme_keys("A run config") == set(CONFIG_KEYS)
+
+    def test_grid_config_table(self):
+        assert readme_keys("A `--grid-config` file") == set(GRID_KEYS)

@@ -141,12 +141,6 @@ class TestApplyUpdate:
         out = apply_update(c, np.zeros(3), direction, 45)
         np.testing.assert_array_equal(np.abs(out[[0, 2]]), 0.025)
 
-    def test_weight_decay_term(self):
-        c = cfg(eta=0.1, weight_decay=0.5)
-        x = np.array([2.0])
-        out = apply_update(c, x, np.zeros(1), 0)
-        np.testing.assert_allclose(out, [2.0 - 0.1 * 0.5 * 2.0])
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             apply_update(cfg(), np.zeros(2), np.zeros(3), 0)
@@ -202,7 +196,6 @@ class TestOptimizerConfig:
             {"eta": -1.0},
             {"eta": 0.1, "beta": 1.0},
             {"eta": 0.1, "beta": -0.1},
-            {"eta": 0.1, "weight_decay": -1.0},
             {"eta": 0.1, "batch_size": 0},
             {"eta": 0.1, "decay_factor": 0.0},
             {"eta": 0.1, "decay_every": 0},
@@ -216,7 +209,7 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="unknown rule"):
             OptimizerConfig("adam", eta=0.1)
 
-    @pytest.mark.parametrize("field", ["eta", "weight_decay", "decay_factor"])
+    @pytest.mark.parametrize("field", ["eta", "decay_factor"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_fields_rejected(self, field, value):
         # NaN passes a bare `x <= 0` check; an infinite decay factor would zero the

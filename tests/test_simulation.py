@@ -22,7 +22,6 @@ from signvote.simulation import (
     config_to_mapping,
     load_data,
     run_experiment,
-    run_sweep,
     sweep_configs,
     write_json,
     write_metrics_csv,
@@ -343,9 +342,8 @@ class TestSweep:
 
     def test_single_cell_equals_run_experiment(self):
         base = make_config(rule="signsgd", rounds=10)
-        sweep = run_sweep(base, [0.0], ["signsgd"])
-        solo = run_experiment(base)
-        assert same_metrics(sweep[0].metrics, solo.metrics)
+        [(_, cfg)] = sweep_configs(base, [0.0], ["signsgd"])
+        assert same_metrics(run_experiment(cfg).metrics, run_experiment(base).metrics)
 
     def test_beta_forced_to_zero_for_non_signum(self):
         base = make_config(rule="signum", beta=0.9, rounds=5)
@@ -356,8 +354,8 @@ class TestSweep:
 
     def test_same_alpha_reproducible_across_sweeps(self):
         base = make_config(strategy="blind-invert", rounds=10)
-        a = run_sweep(base, [0.2], ["signsgd"])[0]
-        b = run_sweep(base, [0.0, 0.2], ["signsgd"])[1]
+        a = run_experiment(sweep_configs(base, [0.2], ["signsgd"])[0][1])
+        b = run_experiment(sweep_configs(base, [0.0, 0.2], ["signsgd"])[1][1])
         assert same_metrics(a.metrics, b.metrics)
 
     def test_empty_grid_rejected(self):
@@ -493,17 +491,17 @@ class TestArtifacts:
 # config_to_mapping of the bundled configs, recorded while config_to_mapping and
 # config_from_mapping still spelled out every key by hand
 BUNDLED_MAPPINGS = {
-    "logistic_blind": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum", "weight_decay": 0.0}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
-    "logistic_byzantine": '{"adversary": {"alpha": 0.4, "strategy": "byz-collude-zeroing"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum", "weight_decay": 0.0}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
-    "sgd_inverse_sum": '{"adversary": {"alpha": 0.3333333333333333, "strategy": "byz-inverse-sum"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.0, "decay_every": 30, "decay_factor": 10.0, "eta": 0.35, "rule": "dist-sgd", "weight_decay": 0.0}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 3}}',
-    "mnist_mlp": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"images": "data/train-images-idx3-ubyte", "labels": "data/train-labels-idx1-ubyte", "source": "idx"}, "model": {"hidden_dim": 32, "input_dim": 784, "kind": "mlp", "num_classes": 10}, "optimizer": {"batch_size": 32, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 1e-05, "rule": "signum", "weight_decay": 0.0}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "logistic_blind": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "logistic_byzantine": '{"adversary": {"alpha": 0.4, "strategy": "byz-collude-zeroing"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "sgd_inverse_sum": '{"adversary": {"alpha": 0.3333333333333333, "strategy": "byz-inverse-sum"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.0, "decay_every": 30, "decay_factor": 10.0, "eta": 0.35, "rule": "dist-sgd"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 3}}',
+    "mnist_mlp": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"images": "data/train-images-idx3-ubyte", "labels": "data/train-labels-idx1-ubyte", "source": "idx"}, "model": {"hidden_dim": 32, "input_dim": 784, "kind": "mlp", "num_classes": 10}, "optimizer": {"batch_size": 32, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 1e-05, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
 }
 
 
 def every_key_configs():
     """An IDX and a synthetic config that between them set every key of CONFIG_KEYS."""
     shared = dict(
-        optimizer=OptimizerConfig("signum", 0.01, beta=0.5, weight_decay=1e-3, batch_size=4,
+        optimizer=OptimizerConfig("signum", 0.01, beta=0.5, batch_size=4,
                                   decay_factor=2.0, decay_every=7),
         n_workers=4,
         adversary=AdversaryConfig("blind-invert", 0.25),

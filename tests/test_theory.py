@@ -8,7 +8,7 @@ from scipy.stats import binom, norm
 from signvote.adversaries import byzantine_count
 from signvote import theory
 from signvote.core import NonFiniteError, RngStream
-from signvote.models import ModelSpec, generate_synthetic, grad, sample_batch
+from signvote.models import ModelSpec, full_batch, generate_synthetic, grad, sample_batch
 from signvote.theory import (
     BERNOULLI_SUCCESS,
     DEFAULT_VOTE_ALPHA,
@@ -217,11 +217,11 @@ class TestVoteFailure:
             vote_failure_exact(3, 0.0, 0.0)
 
 
-def inputs(sigma=1.0, smoothness=1.0, f0=1.0, fstar=0.0, p=0.9, workers=10,
+def inputs(sigma=1.0, smoothness=1.0, f0=1.0, fstar=0.0, workers=10,
            alpha=0.0, rounds=100, dim=3):
     return BoundInputs(
         sigma=np.full(dim, sigma), smoothness=np.full(dim, smoothness),
-        f0=f0, fstar=fstar, p=p, n_workers=workers, alpha=alpha, n_rounds=rounds,
+        f0=f0, fstar=fstar, n_workers=workers, alpha=alpha, n_rounds=rounds,
     )
 
 
@@ -233,32 +233,34 @@ class TestRateBounds:
         assert blind == pytest.approx(expected, rel=1e-12)
 
     def test_noise_free_bounds_coincide(self):
-        clean = inputs(sigma=0.0, alpha=0.1, p=0.8)
-        assert rate_bound_blind(clean) == pytest.approx(rate_bound_byzantine(clean), abs=1e-12)
+        clean = inputs(sigma=0.0, alpha=0.1)
+        assert rate_bound_blind(clean) == pytest.approx(rate_bound_byzantine(clean, 0.8),
+                                                        abs=1e-12)
 
     def test_doubling_rounds_halves_both(self):
         a, b = inputs(rounds=100), inputs(rounds=200)
         assert rate_bound_blind(a) / rate_bound_blind(b) == pytest.approx(2.0, rel=1e-12)
-        assert rate_bound_byzantine(a) / rate_bound_byzantine(b) == pytest.approx(2.0, rel=1e-12)
+        assert (rate_bound_byzantine(a, 0.9) / rate_bound_byzantine(b, 0.9)
+                == pytest.approx(2.0, rel=1e-12))
 
     def test_blind_alpha_quarter_doubles_noise_term(self):
         # with zero smoothness the bound is 4/sqrt(N) * (noise term)^2
-        base = BoundInputs(np.ones(2), np.zeros(2), 1.0, 0.0, 0.9, 16, 0.0, 10)
-        bumped = BoundInputs(np.ones(2), np.zeros(2), 1.0, 0.0, 0.9, 16, 0.25, 10)
+        base = BoundInputs(np.ones(2), np.zeros(2), 1.0, 0.0, 16, 0.0, 10)
+        bumped = BoundInputs(np.ones(2), np.zeros(2), 1.0, 0.0, 16, 0.25, 10)
         ratio = math.sqrt(rate_bound_blind(bumped) / rate_bound_blind(base))
         assert ratio == pytest.approx(2.0, rel=1e-12)
 
     def test_byzantine_coefficient_at_p_one(self):
-        base = BoundInputs(np.ones(1), np.zeros(1), 1.0, 0.0, 1.0, 1, 0.0, 1)
+        base = BoundInputs(np.ones(1), np.zeros(1), 1.0, 0.0, 1, 0.0, 1)
         # bound = 4 * (c * |sigma|_1)^2 with c = 1/(2 sqrt(2)) / (1 - 1/2) = sqrt(2)/2
-        coefficient = math.sqrt(rate_bound_byzantine(base) / 4.0)
+        coefficient = math.sqrt(rate_bound_byzantine(base, 1.0) / 4.0)
         assert coefficient == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
 
     def test_pole_at_admissibility_edge(self):
         p = 0.8
         edge = 1.0 - 1.0 / (2.0 * p)
-        near = rate_bound_byzantine(inputs(p=p, alpha=edge - 1e-9))
-        far = rate_bound_byzantine(inputs(p=p, alpha=0.0))
+        near = rate_bound_byzantine(inputs(alpha=edge - 1e-9), p)
+        far = rate_bound_byzantine(inputs(alpha=0.0), p)
         assert near > 1e6 * far
 
     def test_blind_rejects_alpha_half(self):
@@ -267,19 +269,22 @@ class TestRateBounds:
 
     def test_byzantine_rejects_inadmissible(self):
         with pytest.raises(ValueError, match=r"alpha < 1 - 1/\(2p\)"):
-            rate_bound_byzantine(inputs(p=0.6, alpha=0.2))
+            rate_bound_byzantine(inputs(alpha=0.2), 0.6)
 
     def test_monotone_structure(self):
-        base = inputs(p=0.8, alpha=0.1, workers=16)
-        assert rate_bound_byzantine(inputs(p=0.8, alpha=0.1, workers=64)) < rate_bound_byzantine(base)
-        assert rate_bound_byzantine(inputs(p=0.9, alpha=0.1, workers=16)) < rate_bound_byzantine(base)
-        assert rate_bound_byzantine(inputs(p=0.8, alpha=0.15, workers=16)) > rate_bound_byzantine(base)
+        base = rate_bound_byzantine(inputs(alpha=0.1, workers=16), 0.8)
+        assert rate_bound_byzantine(inputs(alpha=0.1, workers=64), 0.8) < base
+        assert rate_bound_byzantine(inputs(alpha=0.1, workers=16), 0.9) < base
+        assert rate_bound_byzantine(inputs(alpha=0.15, workers=16), 0.8) > base
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             inputs(sigma=-1.0)
         with pytest.raises(ValueError):
-            BoundInputs(np.ones(1), np.ones(1), 0.0, 1.0, 0.9, 1, 0.0, 1)
+            BoundInputs(np.ones(1), np.ones(1), 0.0, 1.0, 1, 0.0, 1)
+        for p in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+                rate_bound_byzantine(inputs(), p)
 
     # (alpha, p, M, K) -> float.hex of the blind and byzantine bounds, recorded
     # while each formula still had its own body
@@ -294,8 +299,8 @@ class TestRateBounds:
     def test_bits_as_recorded(self, point):
         alpha, p, workers, rounds = point
         bound_inputs = BoundInputs(np.linspace(0.1, 1.3, 5), np.linspace(0.05, 0.7, 5),
-                                   2.0, 0.25, p, workers, alpha, rounds)
-        bits = (rate_bound_blind(bound_inputs).hex(), rate_bound_byzantine(bound_inputs).hex())
+                                   2.0, 0.25, workers, alpha, rounds)
+        bits = (rate_bound_blind(bound_inputs).hex(), rate_bound_byzantine(bound_inputs, p).hex())
         assert bits == self.RECORDED_BITS[point]
 
     @pytest.mark.parametrize("field, value", [("workers", 2.5), ("workers", True),
@@ -348,10 +353,14 @@ class TestSignMatchEstimation:
             diffs.append(large - small)
         assert np.mean(diffs) > 0.0
 
-    def test_all_below_floor_rejected(self):
-        spec, params, data = self.toy_problem()
-        with pytest.raises(ValueError, match="floor"):
-            estimate_sign_match_profile(spec, params, data, 8, 10, RngStream(0), floor=1e9)
+    @pytest.mark.parametrize("dim", [3, 6, 20])
+    def test_all_below_floor_rejected(self, dim):
+        # noiseless linear data at its generating parameters: the full gradient is exactly 0
+        data, params = generate_synthetic(RngStream(dim, 50), "linear-regression", dim, 400)
+        spec = ModelSpec("linear-regression", dim)
+        assert not grad(spec, params, data, full_batch(data)).any()
+        with pytest.raises(ValueError, match="below the floor 1e-08"):
+            estimate_sign_match_profile(spec, params, data, 8, 10, RngStream(0))
 
 
 class TestEstimateSigma:
