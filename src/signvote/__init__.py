@@ -10,7 +10,7 @@ The library has three layers:
 """
 
 from . import adversaries, core, models, optimizers, simulation, theory
-from .core import RngStream, l1_norm, sign, sum_signs
+from .core import RngStream, sign, sum_signs
 from .models import Dataset, ModelSpec, generate_synthetic, load_idx
 from .optimizers import OptimizerConfig
 from .simulation import (
@@ -37,7 +37,6 @@ __all__ = [
     "adversaries",
     "core",
     "generate_synthetic",
-    "l1_norm",
     "load_idx",
     "models",
     "optimizers",

@@ -21,7 +21,6 @@ __all__ = [
     "as_signs",
     "as_vector",
     "check_finite",
-    "l1_norm",
     "sequential_sum",
     "sign",
     "sum_signs",
@@ -112,13 +111,6 @@ def sum_signs(block) -> np.ndarray:
     for row in block:
         as_signs(row)
     return block.sum(axis=0, dtype=np.int64)
-
-
-def l1_norm(values) -> float:
-    """Sum of absolute values."""
-    arr = as_vector(values, "l1_norm input")
-    check_finite(arr, "l1_norm input")
-    return float(np.abs(arr).sum())
 
 
 def sequential_sum(block) -> np.ndarray:

@@ -68,10 +68,15 @@ class OptimizerConfig:
 
 
 def effective_eta(cfg: OptimizerConfig, step: int) -> float:
-    """Learning rate at a given step index under the decay schedule."""
+    """Learning rate at a given step index under the decay schedule; past the float
+    range it is 0.0 once the divisor overflows and inf once it underflows to 0."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    return cfg.eta / cfg.decay_factor ** (step // cfg.decay_every)
+    try:
+        divisor = cfg.decay_factor ** (step // cfg.decay_every)
+    except OverflowError:
+        return 0.0
+    return cfg.eta / divisor if divisor else math.inf
 
 
 def worker_message(cfg: OptimizerConfig, momentum: np.ndarray, grad_estimate) -> np.ndarray:

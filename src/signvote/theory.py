@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversaries import byzantine_count
-from .core import RngStream, as_int, as_vector, check_finite, l1_norm, sign
+from .core import RngStream, as_int, as_vector, check_finite, sign
 from .models import Dataset, ModelSpec, full_batch, grad, sample_batches
 
 __all__ = [
@@ -58,7 +58,7 @@ class BoundInputs:
     """Inputs to the convergence-rate formulas.
 
     ``sigma`` and ``smoothness`` are the per-coordinate noise scales and
-    smoothness constants; their l1 norms enter the bounds.
+    smoothness constants; their l1 norms enter the bounds.  All inputs are finite.
     """
 
     sigma: np.ndarray
@@ -72,9 +72,12 @@ class BoundInputs:
     def __post_init__(self):
         for name in ("sigma", "smoothness"):
             values = as_vector(getattr(self, name), name)
-            if (values < 0).any():
-                raise ValueError(f"{name} entries must be >= 0")
+            if not (np.isfinite(values) & (values >= 0)).all():
+                raise ValueError(f"{name} entries must be finite and >= 0")
             object.__setattr__(self, name, values)
+        for name in ("f0", "fstar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.f0 < self.fstar:
             raise ValueError("f0 must be >= fstar")
         _check_workers(self.n_workers, self.alpha)
@@ -173,24 +176,15 @@ def mc_sign_error(noise: NoiseModel, samples: int, rng: RngStream) -> tuple[floa
 
 
 def _binomial_cdf(k: int, n: int, p: float) -> float:
-    """P(Binomial(n, p) <= k) via log-space summation (stable past n = 1e4)."""
-    if k < 0:
-        return 0.0
+    """P(Binomial(n, p) <= k), k >= 0 and 0 < p <= 1, by log-space summation (stable past 1e4)."""
     if k >= n:
-        return 1.0
-    if p <= 0.0:
         return 1.0
     if p >= 1.0:
         return 0.0
     log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     ks = np.arange(0, k + 1)
-    log_pmf = (
-        log_factorial[n]
-        - log_factorial[ks]
-        - log_factorial[n - ks]
-        + ks * math.log(p)
-        + (n - ks) * math.log1p(-p)
-    )
+    log_pmf = (log_factorial[n] - log_factorial[ks] - log_factorial[n - ks]
+               + ks * math.log(p) + (n - ks) * math.log1p(-p))
     top = float(log_pmf.max())
     log_total = top + math.log(float(np.exp(log_pmf - top).sum()))
     return min(1.0, math.exp(log_total))
@@ -207,6 +201,16 @@ def _check_vote_args(n_workers: int, alpha: float, p: float) -> None:
     _check_workers(n_workers, alpha)
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
+
+
+def _premise_margin(n_workers: int, alpha: float, p: float) -> float:
+    """p (1 - alpha) - 1/2 of checked vote arguments; ValueError unless it is positive."""
+    _check_vote_args(n_workers, alpha, p)
+    margin = p * (1.0 - alpha) - 0.5
+    if margin <= 0:
+        raise ValueError(f"requires p (1 - alpha) > 1/2, i.e. alpha < 1 - 1/(2p): "
+                         f"got p={p:g}, alpha={alpha:g}")
+    return margin
 
 
 def vote_failure_exact(n_workers: int, alpha: float, p: float) -> float:
@@ -228,13 +232,7 @@ def vote_failure_cantelli(n_workers: int, alpha: float, p: float) -> float:
     (1/2) sqrt(p (1-p) (1-alpha)) / ((p (1-alpha) - 1/2) sqrt(M)), valid only
     when the expected healthy-correct fraction clears one half.
     """
-    _check_vote_args(n_workers, alpha, p)
-    margin = p * (1.0 - alpha) - 0.5
-    if margin <= 0:
-        raise ValueError(
-            f"requires p (1 - alpha) > 1/2, i.e. alpha < 1 - 1/(2p): "
-            f"got p={p:g}, alpha={alpha:g}"
-        )
+    margin = _premise_margin(n_workers, alpha, p)
     return 0.5 * math.sqrt(p * (1.0 - p) * (1.0 - alpha)) / (margin * math.sqrt(n_workers))
 
 
@@ -243,8 +241,8 @@ def vote_failure_cantelli(n_workers: int, alpha: float, p: float) -> float:
 
 def _rate_bound(inputs: BoundInputs, noise_scale: float) -> float:
     """4/sqrt(N) [ |sigma|_1 / (noise_scale sqrt(M)) + sqrt(|L|_1 (f0 - fstar)) ]^2, N = K^2."""
-    noise_term = l1_norm(inputs.sigma) / (noise_scale * math.sqrt(inputs.n_workers))
-    curvature_term = math.sqrt(l1_norm(inputs.smoothness) * (inputs.f0 - inputs.fstar))
+    noise_term = float(inputs.sigma.sum()) / (noise_scale * math.sqrt(inputs.n_workers))
+    curvature_term = math.sqrt(float(inputs.smoothness.sum()) * (inputs.f0 - inputs.fstar))
     return 4.0 / math.sqrt(inputs.total_gradient_calls) * (noise_term + curvature_term) ** 2
 
 
@@ -268,10 +266,7 @@ def rate_bound_byzantine(inputs: BoundInputs, p: float) -> float:
     coordinate carries the true sign.  Valid for alpha < 1 - 1/(2p); the
     noise term has a pole at that edge.
     """
-    _check_vote_args(inputs.n_workers, inputs.alpha, p)
-    margin = p * (1.0 - inputs.alpha) - 0.5
-    if margin <= 0:
-        raise ValueError(f"requires alpha < 1 - 1/(2p): got p={p:g}, alpha={inputs.alpha:g}")
+    margin = _premise_margin(inputs.n_workers, inputs.alpha, p)
     return _rate_bound(inputs, 2.0 * math.sqrt(2.0) * margin)
 
 
@@ -281,49 +276,58 @@ def rate_bound_byzantine(inputs: BoundInputs, p: float) -> float:
 GRADIENT_FLOOR = 1e-8
 
 
-def sign_match_rate_mc(sample_grad, true_grad, samples: int) -> tuple[np.ndarray, np.ndarray]:
+def sign_match_rate_mc(draws, true_grad) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate rate at which sampled gradients carry the true sign.
 
-    ``sample_grad`` is a zero-argument callable returning one stochastic
-    gradient.  Coordinates with |true gradient| <= :data:`GRADIENT_FLOOR` are
-    masked out (the target sign is ill-defined there).  The draws are stored as one
-    (samples, d) block, then checked for finiteness and counted in one pass.
-    Returns (rates, mask).
+    ``draws`` is a non-empty (samples, d) block with one sampled gradient per
+    row, such as minibatch gradients, momentum buffers or one worker's shard.
+    Coordinates with |true gradient| <= :data:`GRADIENT_FLOOR` are masked out
+    (the target sign is ill-defined there).  The block is checked for
+    finiteness and counted in one pass.  Returns (rates, mask).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     g = as_vector(true_grad, "true gradient")
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 2 or draws.shape[1] != g.size or len(draws) == 0:
+        raise ValueError(f"sampled gradients must be a non-empty (samples, {g.size}) block, "
+                         f"got shape {draws.shape}")
     mask = np.abs(g) > GRADIENT_FLOOR
     if not mask.any():
         raise ValueError("every coordinate of the true gradient is below the floor "
                          f"{GRADIENT_FLOOR:g}")
-    draws = np.empty((samples, g.size))
-    for i in range(samples):
-        draw = np.asarray(sample_grad(), dtype=np.float64)
-        if draw.shape != g.shape:
-            raise ValueError(f"sampled gradient must have shape {g.shape}, got {draw.shape}")
-        draws[i] = draw
     if not np.isfinite(draws).all():
         i = int(np.argmin(np.isfinite(draws).all(axis=1)))
         check_finite(draws[i], f"sampled gradient {i}")
     matches = (np.sign(draws) == sign(g)).sum(axis=0, dtype=np.int64)
-    return matches / samples, mask
+    return matches / len(draws), mask
+
+
+def _sampled_grads(spec: ModelSpec, params, data: Dataset, batch_size: int, samples: int,
+                   rng: RngStream) -> np.ndarray:
+    """(samples, d) block of minibatch gradients, one per row; every batch is
+    drawn, by one ``sample_batches`` call, before the first gradient."""
+    params = as_vector(params, "params")
+    batches = sample_batches(rng, data.n_samples, batch_size, samples)
+    draws = np.empty((samples, spec.param_dim))
+    for i, batch in enumerate(batches):
+        draws[i] = grad(spec, params, data, batch)
+    return draws
 
 
 def estimate_sign_match_profile(spec: ModelSpec, params, data: Dataset, batch_size: int,
                                 samples: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate sign-match rates of minibatch gradients vs the full gradient.
 
-    Requesting ``batch_size == data.n_samples`` disables resampling and uses
-    the exact full batch, so every rate is 1 by construction.  Otherwise all
-    ``samples`` batches are drawn, and checked, before any gradient.
+    Requesting ``batch_size == data.n_samples`` disables resampling: the
+    exact full gradient is the one-row block, so every rate is 1 by
+    construction.  Otherwise all ``samples`` batches are drawn, and checked,
+    before any gradient.
     """
-    params = as_vector(params, "params")
     full = batch_size == data.n_samples
-    batches = None if full else sample_batches(rng, data.n_samples, batch_size, samples)
+    if full and as_int(samples) < 1:  # the sampled path's sample_batches checks its count
+        raise ValueError("samples must be >= 1")
+    draws = None if full else _sampled_grads(spec, params, data, batch_size, samples, rng)
     true_grad = grad(spec, params, data, full_batch(data))
-    draws = itertools.repeat(true_grad) if full else (grad(spec, params, data, b) for b in batches)
-    return sign_match_rate_mc(draws.__next__, true_grad, samples)
+    return sign_match_rate_mc(true_grad[None] if full else draws, true_grad)
 
 
 def estimate_sign_match_prob(spec: ModelSpec, params, data: Dataset, batch_size: int,
@@ -343,11 +347,7 @@ def estimate_sigma(spec: ModelSpec, params, data: Dataset, batch_size: int,
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for an unbiased variance")
-    params = as_vector(params, "params")
-    draws = np.empty((samples, spec.param_dim))
-    for i, batch in enumerate(sample_batches(rng, data.n_samples, batch_size, samples)):
-        draws[i] = grad(spec, params, data, batch)
-    return draws.std(axis=0, ddof=1)
+    return _sampled_grads(spec, params, data, batch_size, samples, rng).std(axis=0, ddof=1)
 
 
 # -- bound-verification report -----------------------------------------------------
@@ -401,13 +401,14 @@ def bound_report(snr_grid=DEFAULT_SNR_GRID, families=NOISE_FAMILIES,
             rows += [_row(check, point, observed, bound, tolerance) for check, bound in checks]
     for n_workers, p, alpha in vote_grid:
         point = f"M={n_workers} p={p:g} alpha={alpha:g}"
-        if p * (1.0 - alpha) <= 0.5:
+        try:
+            bound = vote_failure_cantelli(n_workers, alpha, p)
+        except ValueError:  # the arguments are checked above, so only the premise raises
             rows.append(_row("vote-failure-cantelli", point, math.nan, math.nan,
                              status="inadmissible"))
         else:
             rows.append(_row("vote-failure-cantelli", point,
-                             vote_failure_exact(n_workers, alpha, p),
-                             vote_failure_cantelli(n_workers, alpha, p)))
+                             vote_failure_exact(n_workers, alpha, p), bound))
     return rows
 
 

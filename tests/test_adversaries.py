@@ -93,9 +93,13 @@ class TestColludeSigns:
         with pytest.raises(ValueError, match="f >= 1"):
             byz_collude_signs([1], 0)
 
-    def test_fractional_sum_rejected(self):
-        with pytest.raises(ValueError, match="integer-valued"):
-            byz_collude_signs([0.5], 2)
+    @pytest.mark.parametrize("honest_sum, message", [
+        ([0.5], "integer-valued"),
+        ([[1, 0], [0, 1]], r"honest sign sum must be 1-D, got shape \(2, 2\)"),
+    ])
+    def test_fractional_sum_rejected(self, honest_sum, message):
+        with pytest.raises(ValueError, match=message):
+            byz_collude_signs(honest_sum, 2)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
@@ -123,11 +127,15 @@ class TestInverseSum:
         for m in msgs:
             np.testing.assert_array_equal(m, np.zeros(4))
 
-    def test_one_dimensional_input_rejected(self):
-        # an empty list or a single vector has no row axis to read the width from
-        for honest in ([], np.ones(3)):
-            with pytest.raises(ValueError, match=r"\(H, d\) array"):
-                byz_inverse_sum(honest, 2)
+    # an empty list or a single vector has no row axis to read the width from
+    @pytest.mark.parametrize("honest, f, message", [
+        ([], 2, r"\(H, d\) array"),
+        (np.ones(3), 2, r"\(H, d\) array"),
+        (np.ones((2, 3)), 0, "inverse-sum attack needs f >= 1 adversaries"),
+    ])
+    def test_one_dimensional_input_rejected(self, honest, f, message):
+        with pytest.raises(ValueError, match=message):
+            byz_inverse_sum(honest, f)
 
     def test_exact_cancellation_with_float_noise(self):
         from signvote.optimizers import server_aggregate_sgd

@@ -116,6 +116,13 @@ class TestRun:
         assert code == 2
         assert payload["error"] == "usage"
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "0", "--rules", "signsgd"]])
+    def test_no_output_directory_exit_2(self, tmp_path, capsys, command):
+        cfg = write_quick_config(tmp_path)
+        code, payload = run_cli(capsys, command[0], "--config", cfg, *command[1:])
+        assert (code, payload) == (2, {"error": "usage", "message":
+                                       "no output directory: pass --out or set run.out in the config"})
+
     def test_parallel_flag_rejected(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -209,12 +216,14 @@ class TestSweep:
         for name in names:
             assert (out / name / "metrics.csv").exists()
 
-    def test_empty_grid_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("alphas, message", [("", "empty alpha grid"),
+                                                 ("0,x", "bad alpha grid '0,x'")])
+    def test_empty_grid_exit_2(self, tmp_path, capsys, alphas, message):
         cfg = write_quick_config(tmp_path)
         code, payload = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "x"),
-                                "--alphas", "", "--rules", "signsgd")
-        assert code == 2
-        assert payload["error"] == "usage"
+                                "--alphas", alphas, "--rules", "signsgd")
+        assert (code, payload) == (2, {"error": "usage", "message": message})
+        assert not (tmp_path / "x").exists()
 
     def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
@@ -570,20 +579,24 @@ class TestReport:
                 "section [optimizer]") in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 
-    @pytest.mark.parametrize("kept", [1, 3])
+    @pytest.mark.parametrize("kept", [0, 1, 3])
     def test_short_metrics_row_skipped_with_warning(self, tmp_path, capsys, kept):
-        """A metrics.csv whose last row lost its tail, as a truncated file does."""
+        """A metrics.csv whose last row lost its tail, as a truncated file does,
+        or that lost every row (kept = 0: the header alone)."""
         dirs = self.make_runs(tmp_path, capsys, 2)
         metrics = Path(dirs[0]) / "metrics.csv"
         lines = metrics.read_text().splitlines()
-        lines[-1] = ",".join(lines[-1].split(",")[:kept])
+        if kept:
+            lines[-1] = ",".join(lines[-1].split(",")[:kept])
+            reason = f"metrics.csv line {len(lines)}: {kept} cells under a 6-cell header"
+        else:
+            lines = lines[:1]
+            reason = f"{dirs[0]}: metrics.csv has no rows"
         metrics.write_text("\n".join(lines))
         code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
         captured = capsys.readouterr()
         assert code == 0
-        line = len(lines)
-        assert (f"warning: skipping {dirs[0]}: metrics.csv line {line}: {kept} cells under a "
-                "6-cell header") in captured.err
+        assert f"warning: skipping {dirs[0]}: {reason}" in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 
     def test_report_bytes_as_recorded(self, tmp_path, capsys):
@@ -702,6 +715,28 @@ class TestDiverged:
         assert code == 1
         assert payload == {"error": "diverged", "message": payload["message"], "round": 2,
                            "run": "signsgd-alpha0"}
+
+    @pytest.mark.parametrize("overrides, code, expected", [
+        # the divisor 10**k overflows from step 309 on: eta reads 0.0 and the run ends
+        (["optimizer.decay_every=1", "run.rounds=320"], 0, {"status": "ok", "final_step": 320}),
+        # the divisor 1e-300**k underflows to 0 at step 60: eta reads inf
+        (["optimizer.decay_factor=1e-300", "run.rounds=70"], 1, {"error": "diverged", "round": 61}),
+    ])
+    def test_schedule_past_the_float_range(self, tmp_path, capfd, overrides, code, expected):
+        """A decay schedule that leaves the float range ends the run as JSON, not a traceback."""
+        out = tmp_path / "run"
+        done = subprocess.run([sys.executable, "-m", "signvote.cli", "run", "--config",
+                               BLIND_CONFIG, "--out", str(out),
+                               *(arg for item in overrides for arg in ("--set", item))],
+                              env=source_env(), timeout=120)
+        stdout, err = capfd.readouterr()
+        payload = json.loads(stdout)
+        assert done.returncode == code
+        assert {key: payload[key] for key in expected} == expected
+        assert err == ""
+        if code == 0:
+            last = (out / "metrics.csv").read_text().splitlines()[-1].split(",")
+            assert last[3] == "0.0"  # the eta column
 
     def test_huge_finite_loss_still_ok(self, tmp_path, capsys):
         code, payload = run_cli(capsys, "run", "--config", BLIND_CONFIG,

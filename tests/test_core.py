@@ -5,7 +5,6 @@ from signvote.core import (
     NonFiniteError,
     RngStream,
     as_signs,
-    l1_norm,
     sequential_sum,
     sign,
     sum_signs,
@@ -102,24 +101,6 @@ class TestSumSigns:
     def test_non_sign_entries_rejected(self):
         with pytest.raises(ValueError, match="-1, 0, or \\+1"):
             sum_signs([[2, 0]])
-
-
-class TestL1Norm:
-    def test_hand_values(self):
-        assert l1_norm([1, -2, 3]) == 6.0
-        assert l1_norm(np.zeros(5)) == 0.0
-
-    def test_absolute_homogeneity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            v = rng.standard_normal(11)
-            c = rng.standard_normal()
-            expected = abs(c) * sum(abs(float(x)) for x in v)  # independent scalar loop
-            assert l1_norm(c * v) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            l1_norm([1.0, float("nan")])
 
 
 class TestSequentialSum:

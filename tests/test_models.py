@@ -158,6 +158,16 @@ class TestLoss:
         with pytest.raises(ValueError, match="needs integer class labels"):
             grad(LOGISTIC, np.zeros(LOGISTIC.param_dim), data, np.array([0]))
 
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.ones(4), np.array([0]), r"features must be 2-D, got shape \(4,\)"),
+        (np.ones((2, 3)), np.array([0, -1]), "class labels must be non-negative"),
+        (np.ones((2, 3)), np.array([0, 1, 1]), r"label count \(3,\) does not match 2"),
+        (np.ones((0, 3)), np.array([], dtype=int), "dataset needs at least one sample"),
+    ])
+    def test_malformed_dataset_rejected(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features, labels)
+
     @pytest.mark.parametrize("spec", [LINEAR, LOGISTIC, MLP], ids=str)
     def test_out_of_range_batch_index_rejected(self, spec):
         data = small_dataset(spec)
@@ -293,9 +303,11 @@ class TestSampleBatch:
         sigma = math.sqrt(draws * (1 / n_data) * (1 - 1 / n_data))
         assert np.abs(counts - expected).max() <= 3 * sigma
 
-    def test_zero_size_rejected(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            sample_batch(RngStream(0), 10, 0)
+    @pytest.mark.parametrize("n_data, n, message", [(10, 0, "batch size must be >= 1"),
+                                                    (0, 4, "n_data must be >= 1")])
+    def test_zero_size_rejected(self, n_data, n, message):
+        with pytest.raises(ValueError, match=message):
+            sample_batch(RngStream(0), n_data, n)
 
 
 class TestSampleBatches:
@@ -629,9 +641,15 @@ class TestGenerateSynthetic:
             se = math.sqrt(max(expected * (1 - expected), 1e-6) / n)
             assert abs(observed - expected) <= 4 * se
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="linear/logistic"):
-            generate_synthetic(RngStream(0), "mlp", 4, 10)
+    @pytest.mark.parametrize("kind, n_samples, noise_level, message", [
+        ("mlp", 10, 0.0, "linear/logistic"),
+        ("linear-regression", 0, 0.0, "n_samples must be >= 1"),
+        ("linear-regression", 10, -0.1, "noise_level must be finite and >= 0"),
+        ("linear-regression", 10, math.nan, "noise_level must be finite and >= 0"),
+    ])
+    def test_unknown_kind_rejected(self, kind, n_samples, noise_level, message):
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic(RngStream(0), kind, 4, n_samples, noise_level)
 
 
 # -- IDX reader --------------------------------------------------------------------------
@@ -702,13 +720,18 @@ class TestModelSpec:
         spec = ModelSpec("mlp", 10, num_classes=4)
         assert spec.hidden_dim == 32
 
-    def test_invalid_combinations(self):
-        with pytest.raises(ValueError):
-            ModelSpec("linear-regression", 4, num_classes=2)
-        with pytest.raises(ValueError):
-            ModelSpec("logistic-regression", 4)
-        with pytest.raises(ValueError):
-            ModelSpec("logistic-regression", 4, num_classes=2, hidden_dim=8)
+    @pytest.mark.parametrize("args, kw, message", [
+        (("linear-regression", 4), {"num_classes": 2}, "linear-regression takes no num_classes"),
+        (("logistic-regression", 4), {}, "logistic-regression needs num_classes >= 2"),
+        (("logistic-regression", 4), {"num_classes": 2, "hidden_dim": 8},
+         "logistic-regression takes no hidden_dim"),
+        (("cnn", 4), {"num_classes": 2}, "unknown model kind 'cnn'"),
+        (("logistic-regression", 0), {"num_classes": 2}, "input_dim must be >= 1"),
+        (("mlp", 4), {"num_classes": 3, "hidden_dim": 0}, "hidden_dim must be >= 1"),
+    ])
+    def test_invalid_combinations(self, args, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(*args, **kw)
 
     @pytest.mark.parametrize("field", ["input_dim", "hidden_dim", "num_classes"])
     def test_integer_fields_reject_floats(self, field):

@@ -110,6 +110,10 @@ class TestServerAggregateSgd:
         mean = server_aggregate_sgd(honest + [attack, np.zeros(6)])
         assert np.all(mean == 0.0)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="cannot aggregate an empty message list"):
+            server_aggregate_sgd([])
+
     def test_allows_infinite_attack_vector(self):
         out = server_aggregate_sgd([[1.0], [float("inf")]])
         assert np.isinf(out[0])
@@ -127,6 +131,20 @@ class TestApplyUpdate:
         assert effective_eta(c, 30) == pytest.approx(0.1)
         assert effective_eta(c, 60) == pytest.approx(0.01)
         assert effective_eta(c, 90) == pytest.approx(0.001)
+
+    @pytest.mark.parametrize("decay_factor, step, expected", [
+        (10.0, 308, 1e-308),  # 10**308 is the largest power of ten a float holds
+        (10.0, 309, 0.0),  # the divisor overflows: the quotient is 0
+        (1e-300, 1, 1.0 / 1e-300),
+        (1e-300, 2, math.inf),  # the divisor underflows to 0: the quotient is inf
+    ])
+    def test_schedule_past_the_float_range(self, decay_factor, step, expected):
+        c = cfg(eta=1.0, decay_factor=decay_factor, decay_every=1)
+        assert effective_eta(c, step) == expected
+
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match="step must be >= 0"):
+            effective_eta(cfg(), -1)
 
     def test_zero_direction_fixed_point(self):
         x = np.array([1.0, -2.0, 3.0])

@@ -390,15 +390,21 @@ class TestReplicaConsistency:
 
 
 class TestConfigValidation:
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            make_config(workers=0)
-        with pytest.raises(ValueError):
-            make_config(rounds=0)
+    @pytest.mark.parametrize("kw, message", [({"workers": 0}, "n_workers must be >= 1"),
+                                             ({"rounds": 0}, "n_rounds must be >= 1"),
+                                             ({"eval_every": 0}, "eval_every must be >= 1")])
+    def test_invalid_sizes(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            make_config(**kw)
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            AdversaryConfig("sybil", 0.1)
+    @pytest.mark.parametrize("strategy, alpha, message", [
+        ("sybil", 0.1, "unknown strategy"),
+        ("blind-invert", 1.0, r"alpha must lie in \[0, 1\)"),
+        ("blind-invert", -0.1, r"alpha must lie in \[0, 1\)"),
+    ])
+    def test_unknown_strategy(self, strategy, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            AdversaryConfig(strategy, alpha)
 
     def test_seed_is_an_unsigned_64_bit_integer(self):
         for seed in (-1, 2**64):

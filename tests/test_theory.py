@@ -77,11 +77,17 @@ class TestSignErrorBounds:
 
 
 class TestMcSignError:
-    @pytest.mark.parametrize("mean, sigma", [(math.nan, 1.0), (math.inf, 1.0),
-                                             (1.0, math.nan), (1.0, math.inf)])
-    def test_non_finite_noise_rejected(self, mean, sigma):
-        with pytest.raises(ValueError, match="must be finite"):
-            NoiseModel("gaussian", mean, sigma)
+    @pytest.mark.parametrize("family, mean, sigma, message", [
+        ("gaussian", math.nan, 1.0, "must be finite"),
+        ("gaussian", math.inf, 1.0, "must be finite"),
+        ("gaussian", 1.0, math.nan, "must be finite"),
+        ("gaussian", 1.0, math.inf, "must be finite"),
+        ("cauchy", 1.0, 1.0, "unknown family 'cauchy'"),
+        ("gaussian", 1.0, -0.5, "sigma must be >= 0"),
+    ])
+    def test_non_finite_noise_rejected(self, family, mean, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseModel(family, mean, sigma)
 
     def test_gaussian_matches_normal_cdf(self):
         noise = NoiseModel("gaussian", mean=1.0, sigma=1.0)
@@ -282,6 +288,8 @@ class TestRateBounds:
             inputs(sigma=-1.0)
         with pytest.raises(ValueError):
             BoundInputs(np.ones(1), np.ones(1), 0.0, 1.0, 1, 0.0, 1)
+        with pytest.raises(ValueError, match="n_rounds must be >= 1"):
+            inputs(rounds=0)
         for p in (0.0, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
                 rate_bound_byzantine(inputs(), p)
@@ -302,6 +310,16 @@ class TestRateBounds:
                                    2.0, 0.25, workers, alpha, rounds)
         bits = (rate_bound_blind(bound_inputs).hex(), rate_bound_byzantine(bound_inputs, p).hex())
         assert bits == self.RECORDED_BITS[point]
+
+    @pytest.mark.parametrize("field", ["sigma", "smoothness", "f0", "fstar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected_at_construction(self, field, value):
+        # a NaN objective made both bounds NaN, and fstar = -inf made them inf
+        fields = {"sigma": np.ones(3), "smoothness": np.ones(3), "f0": 1.0, "fstar": 0.0,
+                  "n_workers": 10, "alpha": 0.1, "n_rounds": 10}
+        fields[field] = np.array([1.0, value, 1.0]) if field in ("sigma", "smoothness") else value
+        with pytest.raises(ValueError, match=field):
+            BoundInputs(**fields)
 
     @pytest.mark.parametrize("field, value", [("workers", 2.5), ("workers", True),
                                               ("rounds", 3.5), ("rounds", True)])
@@ -330,10 +348,8 @@ class TestSignMatchEstimation:
         sigma, n = 1.0, 4
         stream = RngStream(77, 0)
 
-        def draw():
-            return g + (sigma / math.sqrt(n)) * stream.generator.standard_normal(3)
-
-        rates, mask = sign_match_rate_mc(draw, g, samples=40_000)
+        draws = g + (sigma / math.sqrt(n)) * stream.generator.standard_normal((40_000, 3))
+        rates, mask = sign_match_rate_mc(draws, g)
         expected = norm.cdf(np.abs(g) * math.sqrt(n) / sigma)
         assert mask.all()
         np.testing.assert_allclose(rates, expected, atol=0.01)
@@ -387,34 +403,31 @@ class TestEstimatorErrors:
     G = np.array([0.5, -0.25, 1.0])
 
     def test_exact_zero_draw_matches_no_sign(self):
-        draws = iter([self.G, np.zeros(3), np.array([-0.0, 0.0, -0.0])])
-        rates, mask = sign_match_rate_mc(draws.__next__, self.G, samples=3)
+        draws = np.array([self.G, np.zeros(3), [-0.0, 0.0, -0.0]])
+        rates, mask = sign_match_rate_mc(draws, self.G)
         assert mask.all() and rates.tolist() == [1 / 3] * 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_draw_rejected(self, bad):
-        draws = iter([self.G, np.array([0.5, bad, 1.0]), self.G])
+        draws = np.array([self.G, [0.5, bad, 1.0], self.G])
         with pytest.raises(NonFiniteError, match="sampled gradient 1 has non-finite entry"):
-            sign_match_rate_mc(draws.__next__, self.G, samples=3)
+            sign_match_rate_mc(draws, self.G)
 
-    @pytest.mark.parametrize("draw", [0.5, np.ones((1, 3)), np.ones((3, 1)),
-                                      np.ones(1), np.ones(2), np.ones(4)])
-    def test_misshapen_draw_rejected(self, draw):
-        with pytest.raises(ValueError, match="sampled gradient must have shape"):
-            sign_match_rate_mc(lambda: draw, self.G, samples=2)
+    @pytest.mark.parametrize("draws", [0.5, np.ones(3), np.ones((0, 3)), np.ones((2, 1)),
+                                       np.ones((2, 2)), np.ones((2, 4)), np.ones((2, 3, 1))])
+    def test_misshapen_draw_rejected(self, draws):
+        with pytest.raises(ValueError, match=r"must be a non-empty \(samples, 3\) block"):
+            sign_match_rate_mc(draws, self.G)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_samples_checked_before_any_draw(self, samples):
-        def draw():
-            raise AssertionError("drew a gradient")
-
-        with pytest.raises(ValueError, match="samples must be >= 1"):
-            sign_match_rate_mc(draw, self.G, samples=samples)
         spec, params, data = TestSignMatchEstimation.toy_problem()
-        stream = RngStream(4, 4)
-        with pytest.raises(ValueError, match=">= 1"):
-            estimate_sign_match_profile(spec, params, data, 8, samples, stream)
-        assert stream.generator.integers(0, 2**32) == RngStream(4, 4).generator.integers(0, 2**32)
+        for batch_size in (8, data.n_samples):
+            stream = RngStream(4, 4)
+            with pytest.raises(ValueError, match=">= 1"):
+                estimate_sign_match_profile(spec, params, data, batch_size, samples, stream)
+            assert (stream.generator.integers(0, 2**32)
+                    == RngStream(4, 4).generator.integers(0, 2**32))
 
     def test_zero_batch_size_rejected_before_any_gradient(self, monkeypatch):
         spec, params, data = TestSignMatchEstimation.toy_problem()
