@@ -2,7 +2,8 @@
 
 Config files are flat INI with five sections (model, data, optimizer,
 adversary, run); ``--set section.key=value`` overrides individual entries.
-Every failure prints a machine-readable JSON object with an ``error`` kind.
+Every failure is one ``_Failure``, raised where its ``error`` kind is known;
+:func:`main` alone prints it, as a machine-readable JSON object.
 Exit codes: 0 success, 1 assertion/bound failure or a diverged run, 2 usage
 or config error.
 """
@@ -21,6 +22,7 @@ from . import theory
 from .models import IdxFormatError, max_relative_grad_error, sample_batch
 from .simulation import (
     DivergedError,
+    ExperimentConfig,
     RunRecord,
     config_from_mapping,
     load_data,
@@ -45,17 +47,14 @@ def _emit(payload: dict) -> None:
     write_json(payload, sys.stdout)
 
 
-class _UsageError(Exception):
-    """An output path that cannot be used: :func:`main` reports a ``usage`` error."""
+class _Failure(Exception):
+    """A failure that :func:`main` prints as ``{"error": kind, "message": ...,
+    **fields}`` before it returns ``code``."""
 
-
-def _error(kind: str, message: str, code: int = EXIT_USAGE, **fields) -> int:
-    _emit({"error": kind, "message": message, **fields})
-    return code
-
-
-def _diverged(exc: DivergedError, **fields) -> int:
-    return _error("diverged", str(exc), EXIT_FAIL, round=exc.round, **fields)
+    def __init__(self, kind: str, message: str, code: int = EXIT_USAGE, **fields):
+        super().__init__(message)
+        self.payload = {"error": kind, "message": message, **fields}
+        self.code = code
 
 
 def _read_config(path: str, overrides=()) -> dict:
@@ -75,12 +74,43 @@ def _read_config(path: str, overrides=()) -> dict:
 
 
 @contextlib.contextmanager
+def _reading(what: str):
+    """Block that reads and parses a config: a file that cannot be opened is
+    ``config-not-found``, a value that does not parse or validate ``config-invalid``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failure("config-not-found", f"cannot read {what}: {exc}") from exc
+    except (configparser.Error, ValueError) as exc:
+        raise _Failure("config-invalid", str(exc)) from exc
+
+
+@contextlib.contextmanager
 def _writing(path: str):
     """Block that writes ``path``; an OSError in it becomes a usage error naming it."""
     try:
         yield path
     except OSError as exc:  # e.g. the path is a directory, or lies under a file
-        raise _UsageError(f"cannot write {path!r}: {exc}") from exc
+        raise _Failure("usage", f"cannot write {path!r}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _building(**fields):
+    """Block that builds a dataset and runs on it: a dataset that cannot be read
+    is ``dataset-error``, a run that diverges ``diverged`` (exit 1) with its round
+    and ``fields``."""
+    try:
+        yield
+    except (IdxFormatError, OSError) as exc:
+        raise _Failure("dataset-error", str(exc)) from exc
+    except DivergedError as exc:
+        raise _Failure("diverged", str(exc), EXIT_FAIL, round=exc.round, **fields) from exc
+
+
+def _load_config(args) -> ExperimentConfig:
+    with _reading("config"):
+        cfg = config_from_mapping(_read_config(args.config, args.set))
+        return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _make_dir(path: str) -> str:
@@ -89,11 +119,10 @@ def _make_dir(path: str) -> str:
     return path
 
 
-def _resolve_out(args, cfg) -> str:
-    out = args.out or cfg.out_dir
-    if not out:
-        raise _UsageError("no output directory: pass --out or set run.out in the config")
-    return _make_dir(out)
+def _out_dir(args) -> str:
+    if not args.out:
+        raise _Failure("usage", "no output directory: pass --out")
+    return _make_dir(args.out)
 
 
 def _write_run(record: RunRecord, out_dir: str) -> dict:
@@ -110,33 +139,13 @@ def _write_run(record: RunRecord, out_dir: str) -> dict:
     }
 
 
-def _with_config(args, body) -> int:
-    """Shared config-loading error handling for run-like commands."""
-    try:
-        cfg = config_from_mapping(_read_config(args.config, args.set))
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-    except OSError as exc:
-        return _error("config-not-found", f"cannot read config: {exc}")
-    except (configparser.Error, ValueError) as exc:
-        return _error("config-invalid", str(exc))
-    try:
-        return body(cfg)
-    except (IdxFormatError, OSError) as exc:
-        return _error("dataset-error", str(exc))
-
-
 def _cmd_run(args) -> int:
-    def body(cfg) -> int:
-        out = _resolve_out(args, cfg)
-        try:
-            record = run_experiment(cfg)
-        except DivergedError as exc:
-            return _diverged(exc)
-        _emit({"status": "ok", **_write_run(record, out)})
-        return EXIT_OK
-
-    return _with_config(args, body)
+    cfg = _load_config(args)
+    out = _out_dir(args)
+    with _building():
+        record = run_experiment(cfg)
+    _emit({"status": "ok", **_write_run(record, out)})
+    return EXIT_OK
 
 
 def _grid(convert):
@@ -155,26 +164,21 @@ def _parse_grid(text: str, convert, what: str):
 
 
 def _cmd_sweep(args) -> int:
-    def body(base) -> int:
-        try:
-            alphas = _parse_grid(args.alphas, float, "alpha")
-            rules = _parse_grid(args.rules, str, "rule")
-            pairs = sweep_configs(base, alphas, rules)
-            out = _resolve_out(args, base)
-            run_dirs = [_make_dir(os.path.join(out, name)) for name, _ in pairs]
-        except ValueError as exc:
-            return _error("usage", str(exc))
-        runs = []
-        for (name, cfg), run_dir in zip(pairs, run_dirs):
-            try:
-                record = run_experiment(cfg)
-            except DivergedError as exc:
-                return _diverged(exc, run=name)
-            runs.append({"name": name, **_write_run(record, run_dir)})
-        _emit({"status": "ok", "out": out, "runs": runs})
-        return EXIT_OK
-
-    return _with_config(args, body)
+    base = _load_config(args)
+    try:  # a grid that is empty, does not parse or names one run twice
+        pairs = sweep_configs(base, _parse_grid(args.alphas, float, "alpha"),
+                              _parse_grid(args.rules, str, "rule"))
+    except ValueError as exc:
+        raise _Failure("usage", str(exc)) from exc
+    out = _out_dir(args)
+    run_dirs = [_make_dir(os.path.join(out, name)) for name, _ in pairs]
+    runs = []
+    for (name, cfg), run_dir in zip(pairs, run_dirs):
+        with _building(run=name):
+            record = run_experiment(cfg)
+        runs.append({"name": name, **_write_run(record, run_dir)})
+    _emit({"status": "ok", "out": out, "runs": runs})
+    return EXIT_OK
 
 
 # every key a --grid-config file may use: (section, key) -> (bound_report argument,
@@ -190,21 +194,13 @@ GRID_KEYS = {
 }
 
 
-def _read_grid_config(path: str) -> dict:
-    parsed = parse_sections(_read_config(path), GRID_KEYS)
-    return {GRID_KEYS[key][0]: value for key, value in parsed.items()}
-
-
 def _cmd_verify_bounds(args) -> int:
-    try:
-        kwargs = _read_grid_config(args.grid_config) if args.grid_config else {}
-        rows = theory.bound_report(**kwargs)
-    except OSError as exc:
-        return _error("config-not-found", f"cannot read grid config: {exc}")
-    except (configparser.Error, ValueError) as exc:
-        return _error("config-invalid", str(exc))
+    with _reading("grid config"):
+        grids = (parse_sections(_read_config(args.grid_config), GRID_KEYS)
+                 if args.grid_config else {})
+        rows = theory.bound_report(**{GRID_KEYS[key][0]: value for key, value in grids.items()})
     if not rows:
-        return _error("empty-grid", "the configured grids contain no check points")
+        raise _Failure("empty-grid", "the configured grids contain no check points")
     out = _make_dir(args.out or ".")
     with _writing(os.path.join(out, "bounds.csv")) as path:
         write_csv(path, theory.REPORT_HEADER,
@@ -219,26 +215,24 @@ def _cmd_verify_bounds(args) -> int:
 
 def _cmd_gradient_check(args) -> int:
     if args.points < 1:
-        return _error("usage", f"--points must be >= 1, got {args.points}")
-
-    def body(cfg) -> int:
+        raise _Failure("usage", f"--points must be >= 1, got {args.points}")
+    cfg = _load_config(args)
+    with _building():
         data = load_data(cfg)
-        stream = RngStream(cfg.seed, 2**33)
-        worst = 0.0
-        for _ in range(args.points):
-            params = stream.generator.standard_normal(cfg.model.param_dim)
-            batch = sample_batch(stream, data.n_samples, min(8, data.n_samples))
-            worst = max(worst, max_relative_grad_error(cfg.model, params, data, batch))
-        ok = worst < GRADIENT_CHECK_TOLERANCE
-        _emit({
-            "status": "ok" if ok else "gradient-mismatch",
-            "max_relative_error": worst,
-            "tolerance": GRADIENT_CHECK_TOLERANCE,
-            "points": args.points,
-        })
-        return EXIT_OK if ok else EXIT_FAIL
-
-    return _with_config(args, body)
+    stream = RngStream(cfg.seed, 2**33)
+    worst = 0.0
+    for _ in range(args.points):
+        params = stream.generator.standard_normal(cfg.model.param_dim)
+        batch = sample_batch(stream, data.n_samples, min(8, data.n_samples))
+        worst = max(worst, max_relative_grad_error(cfg.model, params, data, batch))
+    ok = worst < GRADIENT_CHECK_TOLERANCE
+    _emit({
+        "status": "ok" if ok else "gradient-mismatch",
+        "max_relative_error": worst,
+        "tolerance": GRADIENT_CHECK_TOLERANCE,
+        "points": args.points,
+    })
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _float_or_nan(value) -> float:
@@ -288,7 +282,7 @@ def _cmd_report(args) -> int:
         rows.append((config.optimizer.rule, config.adversary.alpha, run["loss"],
                      run["accuracy"], steps_to))
     if not rows:
-        return _error("no-valid-runs", "none of the given run directories were readable")
+        raise _Failure("no-valid-runs", "none of the given run directories were readable")
     with _writing(args.out or "report.csv") as out_path:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         write_csv(out_path, ("rule", "alpha", "final_loss", "final_accuracy",
@@ -299,7 +293,6 @@ def _cmd_report(args) -> int:
 
 def _add_config_args(sub) -> None:
     sub.add_argument("--config", required=True, help="path to an INI experiment config")
-    sub.add_argument("--out", help="output directory")
     sub.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                      help="override a config entry (repeatable)")
     sub.add_argument("--seed", type=int, help="override run.seed")
@@ -313,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="execute one experiment")
-    _add_config_args(run)
-    run.set_defaults(func=_cmd_run)
-
     sweep = commands.add_parser("sweep", help="one run per (alpha, rule) pair")
-    _add_config_args(sweep)
+    for sub in (run, sweep):
+        _add_config_args(sub)
+        sub.add_argument("--out", help="output directory")
+    run.set_defaults(func=_cmd_run)
     sweep.add_argument("--alphas", required=True, help="comma-separated adversary fractions")
     sweep.add_argument("--rules", required=True, help="comma-separated optimizer rules")
     sweep.set_defaults(func=_cmd_sweep)
@@ -348,8 +341,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        return _error("usage", str(exc))
+    except _Failure as failure:
+        _emit(failure.payload)
+        return failure.code
 
 
 if __name__ == "__main__":

@@ -138,7 +138,6 @@ class ExperimentConfig:
     n_rounds: int = 100
     seed: int = 0
     eval_every: int = 10
-    out_dir: str | None = None
 
     def __post_init__(self):
         if as_int(self.n_workers) < 1:
@@ -149,6 +148,9 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if not 0 <= as_int(self.seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if (self.model.is_classification and isinstance(self.data, SyntheticData)
+                and self.data.kind == "linear-regression"):
+            raise ValueError(f"{self.model.kind} needs class labels, not {self.data.kind!r} data")
         f = byzantine_count(self.adversary.alpha, self.n_workers)
         if f > 0:
             strategy = self.adversary.strategy
@@ -432,7 +434,6 @@ CONFIG_KEYS = {
     ("run", "rounds"): (ExperimentConfig, "n_rounds", _int),
     ("run", "seed"): (ExperimentConfig, "seed", _int),
     ("run", "eval_every"): (ExperimentConfig, "eval_every", _int),
-    ("run", "out"): (ExperimentConfig, "out_dir", str),
 }
 
 # [data] source names and the dataset class each one builds
@@ -470,7 +471,7 @@ def parse_sections(mapping: dict, keys: dict) -> dict:
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
     """Flatten a config into the five-section mapping used by config files.
 
-    Fields that are None (no hidden layer or output directory) are left out.
+    Fields that are None (no hidden layer) are left out.
     """
     parts = {type(part): part for part in (cfg, cfg.model, cfg.data, cfg.optimizer, cfg.adversary)}
     source_names = {cls: name for name, cls in _DATA_SOURCES.items()}

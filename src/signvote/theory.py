@@ -148,11 +148,12 @@ def sign_error_bound_chebyshev(snr: float) -> float:
     """Variance-only sign-error bound 1/(2 S^2).
 
     Needs no shape assumption on the noise.  Not capped: below S = 1 the
-    value exceeds 1/2 and the bound is vacuous.
+    value exceeds 1/2 and the bound is vacuous (inf where 2 S^2 underflows).
     """
     if not snr > 0:  # NaN fails too
         raise ValueError(f"snr must be > 0 (the ratio is undefined at zero signal), got {snr!r}")
-    return 1.0 / (2.0 * snr * snr)
+    denominator = 2.0 * snr * snr
+    return 1.0 / denominator if denominator else math.inf
 
 
 def mc_sign_error(noise: NoiseModel, samples: int, rng: RngStream) -> tuple[float, float]:
@@ -286,6 +287,7 @@ def sign_match_rate_mc(draws, true_grad) -> tuple[np.ndarray, np.ndarray]:
     finiteness and counted in one pass.  Returns (rates, mask).
     """
     g = as_vector(true_grad, "true gradient")
+    check_finite(g, "true gradient")
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 2 or draws.shape[1] != g.size or len(draws) == 0:
         raise ValueError(f"sampled gradients must be a non-empty (samples, {g.size}) block, "

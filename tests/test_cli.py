@@ -120,8 +120,8 @@ class TestRun:
     def test_no_output_directory_exit_2(self, tmp_path, capsys, command):
         cfg = write_quick_config(tmp_path)
         code, payload = run_cli(capsys, command[0], "--config", cfg, *command[1:])
-        assert (code, payload) == (2, {"error": "usage", "message":
-                                       "no output directory: pass --out or set run.out in the config"})
+        assert (code, payload) == (2, {"error": "usage",
+                                       "message": "no output directory: pass --out"})
 
     def test_parallel_flag_rejected(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
@@ -281,6 +281,17 @@ class TestVerifyBounds:
         assert code == 2
         assert payload["error"] == "usage"
 
+    def test_snr_whose_square_underflows(self, tmp_path, capsys):
+        """Below S of about 1e-162, 2 S^2 underflows to 0: the variance-only bound
+        reads inf, capped at 1 in its row, not a ZeroDivisionError."""
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("[sign-error]\nsnr = 1e-200\nsamples = 1000\n")
+        code = main(["verify-bounds", "--out", str(tmp_path / "b"), "--grid-config", str(grid)])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert json.loads(captured.out)["status"] in ("ok", "violations")
+        assert captured.err == ""
+
 
 class TestGradientCheck:
     def test_passes_on_models(self, tmp_path, capsys):
@@ -309,7 +320,8 @@ class TestMisspeltConfig:
         assert payload["message"] == "unknown config key 'bata' in section [optimizer]"
 
     @pytest.mark.parametrize("section, key, value", [("run", "p_estimate", "0.6"),
-                                                     ("optimizer", "weight_decay", "0")])
+                                                     ("optimizer", "weight_decay", "0"),
+                                                     ("run", "out", "runs")])
     def test_removed_key(self, tmp_path, capfd, section, key, value):
         """A removed key is an unknown key: JSON on stdout, exit 2, nothing on stderr."""
         done = subprocess.run([sys.executable, "-m", "signvote.cli", "run", "--config",
@@ -326,8 +338,8 @@ class TestMisspeltConfig:
                                          ["gradient-check"]])
     def test_other_config_commands(self, tmp_path, capsys, command):
         cfg = write_quick_config(tmp_path, {("run", "worker"): "5"})
-        code, payload = run_cli(capsys, command[0], "--config", cfg,
-                                "--out", str(tmp_path / "x"), *command[1:])
+        out = ["--out", str(tmp_path / "x")] if command[0] == "sweep" else []
+        code, payload = run_cli(capsys, command[0], "--config", cfg, *out, *command[1:])
         assert (code, payload["error"]) == (2, "config-invalid")
         assert payload["message"] == "unknown config key 'worker' in section [run]"
 
@@ -393,7 +405,8 @@ class TestBadPathsAndCounts:
         cfg = write_quick_config(tmp_path, {("data", "source"): "idx",
                                             ("data", "images"): str(tmp_path),
                                             ("data", "labels"): str(tmp_path)})
-        code, payload = run_cli(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
+        out = ["--out", str(tmp_path / "x")] if command == "run" else []
+        code, payload = run_cli(capsys, command, "--config", cfg, *out)
         assert (code, payload["error"]) == (2, "dataset-error")
 
     @pytest.mark.parametrize("where", ["directory", "under-a-file"])
@@ -577,6 +590,21 @@ class TestReport:
         assert code == 0
         assert (f"warning: skipping {dirs[0]}: unknown config key 'weight_decay' in "
                 "section [optimizer]") in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
+
+    def test_out_echo_skipped_with_warning(self, tmp_path, capsys):
+        """A summary.json whose config echo still sets the removed run.out key
+        no longer replays."""
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        summary = Path(dirs[0]) / "summary.json"
+        payload = json.loads(summary.read_text())
+        payload["config"]["run"]["out"] = dirs[0]
+        summary.write_text(json.dumps(payload))
+        code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert (f"warning: skipping {dirs[0]}: unknown config key 'out' in "
+                "section [run]") in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 
     @pytest.mark.parametrize("kept", [0, 1, 3])

@@ -423,6 +423,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             SyntheticData(**kw)
 
+    @pytest.mark.parametrize("model", [ModelSpec("logistic-regression", 6, num_classes=2),
+                                       ModelSpec("mlp", 6, hidden_dim=2, num_classes=3)])
+    def test_classifier_on_regression_targets_rejected(self, model):
+        """Real-valued targets carry no class labels: rejected with the config,
+        not in the first gradient of the run."""
+        with pytest.raises(ValueError, match="needs class labels, not 'linear-regression' data"):
+            dataclasses.replace(make_config(kind="linear-regression"), model=model)
+
     @pytest.mark.parametrize("field", ["n_workers", "n_rounds", "eval_every", "seed"])
     def test_integer_fields_reject_floats(self, field):
         # a float must fail here, not later in the round loop's range()
@@ -514,7 +522,6 @@ def every_key_configs():
         n_rounds=12,
         seed=3,
         eval_every=4,
-        out_dir="runs/every-key",
     )
     return [
         ExperimentConfig(model=ModelSpec("mlp", 9, hidden_dim=6, num_classes=3),

@@ -55,6 +55,11 @@ class TestSignErrorBounds:
         assert sign_error_bound_chebyshev(1.0) == 0.5
         assert sign_error_bound_chebyshev(2.0) == 0.125
 
+    @pytest.mark.parametrize("snr", [1e-170, 5e-324])
+    def test_chebyshev_where_square_underflows(self, snr):
+        """2 S^2 is 0 in float64 here: the bound is inf, not a ZeroDivisionError."""
+        assert sign_error_bound_chebyshev(snr) == math.inf
+
     def test_symmetric_never_looser_than_chebyshev(self):
         for snr in np.linspace(0.01, 10.0, 500):
             assert sign_error_bound_symmetric(snr) <= sign_error_bound_chebyshev(snr) + 1e-15
@@ -412,6 +417,13 @@ class TestEstimatorErrors:
         draws = np.array([self.G, [0.5, bad, 1.0], self.G])
         with pytest.raises(NonFiniteError, match="sampled gradient 1 has non-finite entry"):
             sign_match_rate_mc(draws, self.G)
+
+    @pytest.mark.parametrize("true_grad", [[np.nan, 1.0], [np.nan, np.nan], [0.5, -np.inf]])
+    def test_non_finite_true_gradient_rejected(self, true_grad):
+        """Named as the true gradient, before the floor mask could call a NaN
+        coordinate "below the floor"."""
+        with pytest.raises(NonFiniteError, match="^true gradient has non-finite entry"):
+            sign_match_rate_mc(np.ones((2, 2)), true_grad)
 
     @pytest.mark.parametrize("draws", [0.5, np.ones(3), np.ones((0, 3)), np.ones((2, 1)),
                                        np.ones((2, 2)), np.ones((2, 4)), np.ones((2, 3, 1))])
