@@ -110,7 +110,9 @@ def sum_signs(block) -> np.ndarray:
         raise ValueError(f"sum_signs needs at least one sign vector, got shape {block.shape}")
     for row in block:
         as_signs(row)
-    return block.sum(axis=0, dtype=np.int64)
+    # int32 adds int8 rows faster than int64 and is exact below 2**31 rows
+    accumulator = np.int32 if len(block) < 2**31 else np.int64
+    return block.sum(axis=0, dtype=accumulator).astype(np.int64)
 
 
 def sequential_sum(block) -> np.ndarray:

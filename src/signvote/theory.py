@@ -14,6 +14,7 @@ independent numerical route:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 NOISE_FAMILIES = ("gaussian", "laplace", "shifted-bernoulli")
+
+# most batch indices or Monte Carlo draws held at once: the oracles draw in
+# blocks of this size, so their working set does not grow with the sample count
+DRAW_BLOCK = 1 << 14
 
 # low-atom mass of the shifted-bernoulli family: 0.6 on the short side, 0.4 on
 # the long side.  Asymmetric two-point noise violates the unimodal-symmetric
@@ -160,20 +165,33 @@ def mc_sign_error(noise: NoiseModel, samples: int, rng: RngStream) -> tuple[floa
     """Monte Carlo sign-error rate of a noisy estimate, with binomial std error.
 
     Counts draws whose sign differs from the sign of the mean (a draw of
-    exactly zero counts as an error, consistent with sign(0) = 0).
+    exactly zero counts as an error, consistent with sign(0) = 0).  The draws
+    come in blocks of at most :data:`DRAW_BLOCK`; successive draws continue
+    the stream, so the rate equals that of one ``samples``-long draw.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful rate")
     if noise.mean == 0:
         raise ValueError("sign-error rate is undefined for zero mean")
-    draws = noise.sample(samples, rng)
     target = 1 if noise.mean > 0 else -1
-    estimate = float(np.mean(np.sign(draws) != target))
+    misses = 0
+    for start in range(0, samples, DRAW_BLOCK):
+        draws = noise.sample(min(DRAW_BLOCK, samples - start), rng)
+        misses += int(np.count_nonzero(np.sign(draws) != target))
+    estimate = misses / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
     return estimate, std_error
 
 
 # -- vote-failure probability ----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only table of log(i!) for i = 0 .. n, built once per n."""
+    table = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def _binomial_cdf(k: int, n: int, p: float) -> float:
@@ -182,7 +200,7 @@ def _binomial_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p >= 1.0:
         return 0.0
-    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_factorial = _log_factorials(n)
     ks = np.arange(0, k + 1)
     log_pmf = (log_factorial[n] - log_factorial[ks] - log_factorial[n - ks]
                + ks * math.log(p) + (n - ks) * math.log1p(-p))
@@ -305,13 +323,23 @@ def sign_match_rate_mc(draws, true_grad) -> tuple[np.ndarray, np.ndarray]:
 
 def _sampled_grads(spec: ModelSpec, params, data: Dataset, batch_size: int, samples: int,
                    rng: RngStream) -> np.ndarray:
-    """(samples, d) block of minibatch gradients, one per row; every batch is
-    drawn, by one ``sample_batches`` call, before the first gradient."""
+    """(samples, d) block of minibatch gradients, one per row.
+
+    The batches are drawn by successive ``sample_batches`` calls of at most
+    :data:`DRAW_BLOCK` indices each (at least one batch), which continue the
+    stream, so row i equals the i-th of ``samples`` successive
+    ``sample_batch`` draws.  The first call checks ``batch_size`` and
+    ``samples`` before the first gradient.
+    """
     params = as_vector(params, "params")
-    batches = sample_batches(rng, data.n_samples, batch_size, samples)
+    rows = max(1, DRAW_BLOCK // max(1, batch_size))
+    batches = sample_batches(rng, data.n_samples, batch_size, min(rows, samples))
     draws = np.empty((samples, spec.param_dim))
-    for i, batch in enumerate(batches):
-        draws[i] = grad(spec, params, data, batch)
+    for start in range(0, samples, rows):
+        if start:
+            batches = sample_batches(rng, data.n_samples, batch_size, min(rows, samples - start))
+        for i, batch in enumerate(batches, start):
+            draws[i] = grad(spec, params, data, batch)
     return draws
 
 
@@ -321,8 +349,9 @@ def estimate_sign_match_profile(spec: ModelSpec, params, data: Dataset, batch_si
 
     Requesting ``batch_size == data.n_samples`` disables resampling: the
     exact full gradient is the one-row block, so every rate is 1 by
-    construction.  Otherwise all ``samples`` batches are drawn, and checked,
-    before any gradient.
+    construction.  Otherwise ``batch_size`` and ``samples`` are checked
+    before any gradient, and the batches are drawn in blocks of at most
+    :data:`DRAW_BLOCK` indices.
     """
     full = batch_size == data.n_samples
     if full and as_int(samples) < 1:  # the sampled path's sample_batches checks its count

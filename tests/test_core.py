@@ -82,6 +82,11 @@ class TestSumSigns:
         s = np.array([1, -1, 0, 1], dtype=np.int8)
         np.testing.assert_array_equal(sum_signs([s] * 7), 7.0 * s)
 
+    def test_sums_past_the_int8_range(self):
+        s = np.array([1, -1, 0, 1], dtype=np.int8)
+        total = sum_signs(np.tile(s, (300, 1)))
+        assert total.dtype == np.int64 and total.tolist() == [300, -300, 0, 300]
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
         rows = [rng.integers(-1, 2, size=6) for _ in range(9)]

@@ -8,6 +8,9 @@ attacks promise (a zeroed or flipped vote, an exactly zero mean).
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +237,29 @@ class TestBatchRejectionProperties:
     def test_bad_batch_rejected(self, batch, fn):
         with pytest.raises(ValueError, match="batch"):
             fn(BATCH_SPEC, np.zeros(BATCH_SPEC.param_dim), BATCH_DATA, batch)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_always_fails(x):
+    assert False
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    """Under the repository's pytest settings, where every warning is an
+    error, a failing property prints its falsifying example; it must not end
+    in an INTERNALERROR raised while hypothesis writes its patch file."""
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    output = result.stdout + result.stderr
+    assert "INTERNALERROR" not in output, output
+    assert "Falsifying example" in output, output
+    assert result.returncode == 1, output

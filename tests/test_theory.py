@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,26 @@ from scipy.stats import binom, norm
 from signvote.adversaries import byzantine_count
 from signvote import theory
 from signvote.core import NonFiniteError, RngStream
-from signvote.models import ModelSpec, full_batch, generate_synthetic, grad, sample_batch
+from signvote.models import (
+    ModelSpec,
+    full_batch,
+    generate_synthetic,
+    grad,
+    sample_batch,
+    sample_batches,
+)
 from signvote.theory import (
     BERNOULLI_SUCCESS,
     DEFAULT_VOTE_ALPHA,
     DEFAULT_VOTE_P,
     DEFAULT_VOTE_WORKERS,
+    DRAW_BLOCK,
+    NOISE_FAMILIES,
     BoundInputs,
     NoiseModel,
     SYMMETRIC_BREAKPOINT,
     _binomial_cdf,
+    _sampled_grads,
     bound_report,
     estimate_sigma,
     estimate_sign_match_prob,
@@ -186,6 +197,16 @@ class TestVoteFailure:
                 healthy = n_workers - byzantine_count(float(alpha), n_workers)
                 assert vote_failure_exact(n_workers, float(alpha), 0.7) == _binomial_cdf(
                     n_workers // 2, healthy, 0.7), (n_workers, alpha)
+
+    def test_log_factorials_built_once_per_n(self):
+        theory._log_factorials.cache_clear()
+        first = vote_failure_exact(10_001, 0.0, 0.6)
+        assert vote_failure_exact(10_001, 0.0, 0.6) == first
+        info = theory._log_factorials.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        table = theory._log_factorials(10_001)
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(table, [math.lgamma(i + 1) for i in range(10_002)])
 
     def test_stable_at_ten_thousand_workers(self):
         value = vote_failure_exact(10_000, 0.0, 0.6)
@@ -453,6 +474,60 @@ class TestEstimatorErrors:
                 estimate(spec, params, data, 0, 10, RngStream(0))
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate during one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawBlocks:
+    """The oracles hold at most DRAW_BLOCK batch indices or noise draws at
+    once, and return the bits of one draw of them all."""
+
+    ROWS = DRAW_BLOCK // 512  # batches of 512 indices per block
+
+    @pytest.mark.parametrize("batch_size, samples", [
+        (512, ROWS - 1), (512, ROWS), (512, ROWS + 1), (512, 3 * ROWS + 5),
+        (DRAW_BLOCK, 2), (DRAW_BLOCK + 1, 3),
+    ])
+    def test_sampled_grads_equal_one_draw(self, batch_size, samples):
+        spec, params, data = TestSignMatchEstimation.toy_problem()
+        stream, reference = RngStream(6, 1), RngStream(6, 1)
+        draws = _sampled_grads(spec, params, data, batch_size, samples, stream)
+        batches = sample_batches(reference, data.n_samples, batch_size, samples)
+        np.testing.assert_array_equal(draws, [grad(spec, params, data, b) for b in batches])
+        # and the stream ends where one draw leaves it
+        assert stream.generator.integers(0, 2**32) == reference.generator.integers(0, 2**32)
+
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    @pytest.mark.parametrize("samples", [1000, DRAW_BLOCK, DRAW_BLOCK + 1, 100_000])
+    def test_mc_sign_error_equals_one_draw(self, family, samples):
+        for mean in (0.4, -1.3):
+            noise = NoiseModel(family, mean, 1.0)
+            stream, reference = RngStream(12, 3), RngStream(12, 3)
+            draws = noise.sample(samples, reference)
+            rate = float(np.mean(np.sign(draws) != np.sign(mean)))
+            assert mc_sign_error(noise, samples, stream) == (
+                rate, math.sqrt(rate * (1.0 - rate) / samples))
+            assert stream.generator.random() == reference.generator.random()
+
+    def test_profile_memory_does_not_grow_with_samples(self):
+        # one draw of 4,000 batches of 512 int64 indices alone is 15.6 MiB
+        spec, params, data = TestSignMatchEstimation.toy_problem()
+        peak = traced_peak(lambda: estimate_sign_match_profile(spec, params, data, 512, 4000,
+                                                               RngStream(2, 2)))
+        assert peak < 4 * 2**20
+
+    def test_mc_sign_error_memory_does_not_grow_with_samples(self):
+        # one draw of 10**6 float64 samples is 7.6 MiB, and its float64 sign as much again
+        noise = NoiseModel("laplace", 1.0, 1.0)
+        assert traced_peak(lambda: mc_sign_error(noise, 10**6, RngStream(2))) < 2**20
+
+
 # sha256 of the estimators' outputs on demo 07's data and parameters, recorded
 # before their batch indices were drawn in one call and their signs counted in one pass
 ESTIMATOR_SHA256 = {
@@ -479,14 +554,15 @@ def test_estimators_keep_recorded_bytes():
 class TestCallStructure:
     """The estimators' calls on the closed forms the benchmark's traced
     ``theory-oracles`` run checks: one sampled gradient per sample, one
-    full-batch gradient per sign-match estimate (none for sigma), one index
-    draw per sampled estimate and no per-batch ``sample_batch``.
+    full-batch gradient per sign-match estimate (none for sigma) and no
+    per-batch ``sample_batch``; and one ``sample_batches`` call per block of
+    at most DRAW_BLOCK indices, at least one batch each.
 
     A gradient counts as full when its batch is an object that ``full_batch``
     returned, the way the tracer tells the two apart.
     """
 
-    SIZES, SAMPLES = (2, 8), 10
+    SIZES, SAMPLES = (2, DRAW_BLOCK // 4, DRAW_BLOCK + 1), 10  # 1, 3 and 10 blocks
 
     def test_counts_on_a_small_plan(self, monkeypatch):
         import signvote.models
@@ -522,12 +598,14 @@ class TestCallStructure:
         estimate_sign_match_profile(spec, params, data, 4, self.SAMPLES, RngStream(4, 10))
         estimate_sigma(spec, params, data, 4, self.SAMPLES, RngStream(4, 11))
 
-        sampled_estimates = len(self.SIZES) + 2  # the sizes, the profile and sigma
+        sampled_sizes = self.SIZES + (4, 4)  # the sizes, the profile and sigma
+        blocks = [-(-self.SAMPLES // max(1, DRAW_BLOCK // size)) for size in sampled_sizes]
+        assert blocks == [1, 3, 10, 1, 1]
         assert counts == {
-            "grad.worker": sampled_estimates * self.SAMPLES,
+            "grad.worker": len(sampled_sizes) * self.SAMPLES,
             "grad.full": len(sizes) + 1,
             "sample_batch": 0,
-            "sample_batches": sampled_estimates,
+            "sample_batches": sum(blocks),
         }
 
 
