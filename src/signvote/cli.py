@@ -235,21 +235,15 @@ def _cmd_gradient_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _float_or_nan(value) -> float:
-    """A summary number; ``null`` (written for NaN or infinity) reads as NaN."""
-    return float("nan") if value is None else float(value)
-
-
 def _load_run_dir(run_dir: str) -> dict:
-    """Config, final loss and accuracy, and loss curve of one finished run."""
+    """Config (from the ``summary.json`` echo), and loss curve and final loss
+    and accuracy (from ``metrics.csv``) of one finished run."""
     with open(os.path.join(run_dir, "summary.json"), "r", encoding="utf-8") as handle:
-        summary = json.load(handle)
-    config = config_from_mapping(summary["config"])
-    final = summary["final"]
+        config = config_from_mapping(json.load(handle)["config"])
     steps, losses = [], []
     with open(os.path.join(run_dir, "metrics.csv"), "r", encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
-        step_i, loss_i = header.index("step"), header.index("loss")
+        step_i, loss_i, accuracy_i = map(header.index, ("step", "loss", "accuracy"))
         for line in handle:
             cells = line.strip().split(",")
             if len(cells) != len(header):
@@ -257,10 +251,11 @@ def _load_run_dir(run_dir: str) -> dict:
                                  f"under a {len(header)}-cell header")
             steps.append(int(cells[step_i]))
             losses.append(float(cells[loss_i]))
+            accuracy = float(cells[accuracy_i])
     if not steps:
         raise ValueError(f"{run_dir}: metrics.csv has no rows")
-    return {"config": config, "loss": _float_or_nan(final["loss"]),
-            "accuracy": _float_or_nan(final["accuracy"]), "steps": steps, "losses": losses}
+    return {"config": config, "loss": losses[-1], "accuracy": accuracy, "steps": steps,
+            "losses": losses}
 
 
 def _cmd_report(args) -> int:
@@ -268,9 +263,9 @@ def _cmd_report(args) -> int:
     for run_dir in args.run_dirs:
         try:
             run = _load_run_dir(run_dir)
-        # a summary.json of the wrong shape (a list for an object, ...) is
-        # skipped like a missing one
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        # a summary.json of the wrong shape (a list for an object, ...) or nested
+        # too deep to parse is skipped like a missing one
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"warning: skipping {run_dir}: {exc}", file=sys.stderr)
             continue
         threshold = args.loss_threshold

@@ -32,6 +32,7 @@ valid lower bound on the objective.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -395,9 +396,7 @@ def accuracy(spec: ModelSpec, params, data: Dataset) -> float:
     """
     if not spec.is_classification:
         raise ValueError("accuracy requires a classification model")
-    params = _check_params(spec, params)
-    x, y = _batch_rows(spec, data, np.arange(data.n_samples))
-    return _hit_rate(_forward(spec, params, x)[0], y)
+    return evaluate(spec, params, data)[1]
 
 
 def evaluate(spec: ModelSpec, params, data: Dataset) -> tuple[float, float]:
@@ -440,29 +439,23 @@ def max_relative_grad_error(spec: ModelSpec, params, data: Dataset, batch: np.nd
 # -- data sources --------------------------------------------------------------
 
 
-def generate_synthetic(rng: RngStream, kind: str, input_dim: int, n_samples: int,
-                       noise_level: float = 0.0):
+def generate_synthetic(rng: RngStream, kind: str, input_dim: int, n_samples: int):
     """Gaussian-feature synthetic data with known generating weights.
 
-    Features are i.i.d. standard normal.  Linear targets are ``X w`` plus
-    ``noise_level`` times standard normal noise; logistic labels are Bernoulli
-    draws with success probability ``sigmoid(X w)`` (noise_level is unused).
-    Returns the dataset and the generating parameters padded to the model
-    layout (bias 0), so a noiseless linear fit at those params is exactly 0.
+    Features are i.i.d. standard normal.  Linear targets are ``X w`` exactly;
+    logistic labels are Bernoulli draws with success probability
+    ``sigmoid(X w)``.  Returns the dataset and the generating parameters padded
+    to the model layout (bias 0), so a linear fit at those params is exactly 0.
     """
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"synthetic data supports linear/logistic regression, not {kind!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not (math.isfinite(noise_level) and noise_level >= 0):
-        raise ValueError("noise_level must be finite and >= 0")
     gen = rng.generator
     x = gen.standard_normal((n_samples, input_dim))
     w = gen.standard_normal(input_dim)
     if kind == "linear-regression":
         labels = x @ w
-        if noise_level > 0:
-            labels = labels + noise_level * gen.standard_normal(n_samples)
     else:
         labels = (gen.random(n_samples) < _sigmoid(x @ w)).astype(np.int64)
     return Dataset(x, labels), np.concatenate([w, [0.0]])
@@ -478,7 +471,8 @@ class IdxFormatError(ValueError):
 
 
 def _read_exact(handle, nbytes: int, path, what: str) -> bytes:
-    data = handle.read(nbytes)
+    # never ask for more than the file still holds: a header may declare terabytes
+    data = handle.read(min(nbytes, os.fstat(handle.fileno()).st_size - handle.tell()))
     if len(data) != nbytes:
         raise IdxFormatError(
             f"{path}: truncated while reading {what} (wanted {nbytes} bytes, got {len(data)})"

@@ -95,15 +95,12 @@ class SyntheticData:
 
     kind: str
     n_samples: int
-    noise_level: float = 0.0
 
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise ValueError(f"synthetic data supports {SYNTHETIC_KINDS}, not {self.kind!r}")
         if as_int(self.n_samples) < 1:
             raise ValueError("n_samples must be >= 1")
-        if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
-            raise ValueError("noise_level must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -214,13 +211,8 @@ def load_data(cfg: ExperimentConfig) -> Dataset:
             raise IdxFormatError(f"{cfg.data.labels_path}: label {data.max_label} out "
                                  f"of range for {spec.num_classes} classes")
         return data
-    data, _ = generate_synthetic(
-        RngStream(cfg.seed, DATA_STREAM_ID),
-        cfg.data.kind,
-        spec.input_dim,
-        cfg.data.n_samples,
-        cfg.data.noise_level,
-    )
+    data, _ = generate_synthetic(RngStream(cfg.seed, DATA_STREAM_ID), cfg.data.kind,
+                                 spec.input_dim, cfg.data.n_samples)
     return data
 
 
@@ -419,7 +411,6 @@ CONFIG_KEYS = {
     ("data", "source"): (ExperimentConfig, "data", str),
     ("data", "kind"): (SyntheticData, "kind", str),
     ("data", "samples"): (SyntheticData, "n_samples", _int),
-    ("data", "noise_level"): (SyntheticData, "noise_level", float),
     ("data", "images"): (IdxData, "images_path", str),
     ("data", "labels"): (IdxData, "labels_path", str),
     ("optimizer", "rule"): (OptimizerConfig, "rule", str),
@@ -490,7 +481,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     Values may be strings (fresh from a config file) or already typed (from a
     summary-JSON echo); both parse identically, so echoed configs replay.
     Sections and keys outside :data:`CONFIG_KEYS` are rejected.  Data without
-    a ``source`` is synthetic, and its ``kind`` defaults to the model's.
+    a ``source`` is synthetic, and its ``kind`` defaults to the label family
+    the model fits: logistic-regression labels for a classifier, else linear.
     """
     parsed = parse_sections(mapping, CONFIG_KEYS)
     filled = {CONFIG_KEYS[key][:2]: value for key, value in parsed.items()}
@@ -512,7 +504,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     source = filled.get((ExperimentConfig, "data"), "synthetic")
     if source not in _DATA_SOURCES:
         raise ValueError(f"unknown data source {source!r} (expected 'synthetic' or 'idx')")
-    filled.setdefault((SyntheticData, "kind"), model.kind)
+    filled.setdefault((SyntheticData, "kind"),
+                      "logistic-regression" if model.is_classification else "linear-regression")
     return build(
         ExperimentConfig,
         model=model,

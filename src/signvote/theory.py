@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversaries import byzantine_count
-from .core import RngStream, as_int, as_vector, check_finite, sign
+from .core import RngStream, as_int, as_vector, check_finite
 from .models import Dataset, ModelSpec, full_batch, grad, sample_batches
 
 __all__ = [
@@ -317,7 +317,8 @@ def sign_match_rate_mc(draws, true_grad) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(draws).all():
         i = int(np.argmin(np.isfinite(draws).all(axis=1)))
         check_finite(draws[i], f"sampled gradient {i}")
-    matches = (np.sign(draws) == sign(g)).sum(axis=0, dtype=np.int64)
+    # sign equality, zeros included, without a float64 sign block
+    matches = (((draws > 0) == (g > 0)) & ((draws < 0) == (g < 0))).sum(axis=0, dtype=np.int64)
     return matches / len(draws), mask
 
 

@@ -224,7 +224,7 @@ def test_criterion_09_gradient_correctness():
             assert spec.param_dim <= 50
             stream = RngStream(8005, 900 + spec.param_dim)
             kind = "linear-regression" if spec.kind == "linear-regression" else "logistic-regression"
-            data, _ = generate_synthetic(stream, kind, spec.input_dim, 60, noise_level=0.3)
+            data, _ = generate_synthetic(stream, kind, spec.input_dim, 60)
             for _ in range(20):
                 params = stream.generator.standard_normal(spec.param_dim)
                 batch = sample_batch(stream, data.n_samples, 6)

@@ -66,6 +66,19 @@ class TestRun:
         assert (out / "metrics.csv").exists()
         assert (out / "summary.json").exists()
 
+    def test_mlp_on_synthetic_data_without_kind(self, tmp_path, capsys):
+        """An MLP config without [data] kind trains on logistic-regression labels."""
+        mlp = {("model", "kind"): "mlp", ("model", "hidden_dim"): "4",
+               ("model", "num_classes"): "2", ("data", "kind"): None}
+        cfg = write_quick_config(tmp_path, mlp)
+        code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "a"))
+        assert (code, payload["status"]) == (0, "ok")
+        code, _ = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "b"),
+                          "--set", "data.kind=logistic-regression")
+        assert code == 0
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+            (tmp_path / "b" / "metrics.csv").read_bytes()
+
     def test_deterministic_metrics_bytes(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -321,7 +334,8 @@ class TestMisspeltConfig:
 
     @pytest.mark.parametrize("section, key, value", [("run", "p_estimate", "0.6"),
                                                      ("optimizer", "weight_decay", "0"),
-                                                     ("run", "out", "runs")])
+                                                     ("run", "out", "runs"),
+                                                     ("data", "noise_level", "0")])
     def test_removed_key(self, tmp_path, capfd, section, key, value):
         """A removed key is an unknown key: JSON on stdout, exit 2, nothing on stderr."""
         done = subprocess.run([sys.executable, "-m", "signvote.cli", "run", "--config",
@@ -374,7 +388,7 @@ class TestBadNumbers:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("override", ["optimizer.eta=nan", "optimizer.decay_factor=nan",
-                                          "optimizer.decay_factor=inf", "data.noise_level=nan"])
+                                          "optimizer.decay_factor=inf"])
     def test_non_finite_value(self, tmp_path, capsys, override):
         cfg = write_quick_config(tmp_path)
         code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -544,7 +558,7 @@ class TestReport:
         assert code == 0 and payload["rows"] == 1
         assert out_csv.read_text().splitlines()[1].split(",")[3] == "nan"
 
-    @pytest.mark.parametrize("drop", ["config", "final"])
+    @pytest.mark.parametrize("drop", ["config"])
     def test_summary_without_part_skipped_with_warning(self, tmp_path, capsys, drop):
         dirs = self.make_runs(tmp_path, capsys, 2)
         summary = Path(dirs[0]) / "summary.json"
@@ -557,6 +571,35 @@ class TestReport:
         assert f"warning: skipping {dirs[0]}: '{drop}'" in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
         assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[1] == "0.2"
+
+    @pytest.mark.parametrize("final", [None, {"loss": True, "accuracy": "x"}, [1e300]])
+    def test_summary_final_block_not_read(self, tmp_path, capsys, final):
+        """The numbers come from metrics.csv: a summary.json whose final block is
+        missing or junk (a JSON true for the loss, say) gives the same report."""
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        assert run_cli(capsys, "report", *dirs, "--out", str(tmp_path / "a.csv"))[0] == 0
+        summary = Path(dirs[0]) / "summary.json"
+        payload = json.loads(summary.read_text())
+        if final is None:
+            del payload["final"]
+        else:
+            payload["final"] = final
+        summary.write_text(json.dumps(payload))
+        code = main(["report", *dirs, "--out", str(tmp_path / "b.csv")])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+    def test_deeply_nested_summary_skipped_with_warning(self, tmp_path, capsys):
+        """JSON nested deeper than the parser's recursion limit is skipped, not a
+        RecursionError traceback."""
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        (Path(dirs[0]) / "summary.json").write_text("[" * 100_000)
+        code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert f"warning: skipping {dirs[0]}: " in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 
     @pytest.mark.parametrize("shape", ["config-list", "section-list", "summary-list"])
     def test_summary_of_wrong_shape_skipped_with_warning(self, tmp_path, capsys, shape):
@@ -590,6 +633,21 @@ class TestReport:
         assert code == 0
         assert (f"warning: skipping {dirs[0]}: unknown config key 'weight_decay' in "
                 "section [optimizer]") in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
+
+    def test_noise_level_echo_skipped_with_warning(self, tmp_path, capsys):
+        """A summary.json whose config echo still holds the removed
+        noise_level key no longer replays."""
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        summary = Path(dirs[0]) / "summary.json"
+        payload = json.loads(summary.read_text())
+        payload["config"]["data"]["noise_level"] = 0.0
+        summary.write_text(json.dumps(payload))
+        code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert (f"warning: skipping {dirs[0]}: unknown config key 'noise_level' in "
+                "section [data]") in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 
     def test_out_echo_skipped_with_warning(self, tmp_path, capsys):

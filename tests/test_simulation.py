@@ -414,10 +414,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kw,match", [
         ({"kind": "logistic-regression", "n_samples": 0}, "n_samples"),
-        ({"kind": "linear-regression", "n_samples": 10, "noise_level": -0.1}, "noise_level"),
         ({"kind": "mlp", "n_samples": 10}, "synthetic data supports"),
-        ({"kind": "linear-regression", "n_samples": 10, "noise_level": math.nan}, "noise_level"),
-        ({"kind": "linear-regression", "n_samples": 10, "noise_level": math.inf}, "noise_level"),
     ])
     def test_synthetic_data_rejected_at_construction(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -505,9 +502,9 @@ class TestArtifacts:
 # config_to_mapping of the bundled configs, recorded while config_to_mapping and
 # config_from_mapping still spelled out every key by hand
 BUNDLED_MAPPINGS = {
-    "logistic_blind": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
-    "logistic_byzantine": '{"adversary": {"alpha": 0.4, "strategy": "byz-collude-zeroing"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
-    "sgd_inverse_sum": '{"adversary": {"alpha": 0.3333333333333333, "strategy": "byz-inverse-sum"}, "data": {"kind": "logistic-regression", "noise_level": 0.0, "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.0, "decay_every": 30, "decay_factor": 10.0, "eta": 0.35, "rule": "dist-sgd"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 3}}',
+    "logistic_blind": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"kind": "logistic-regression", "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "logistic_byzantine": '{"adversary": {"alpha": 0.4, "strategy": "byz-collude-zeroing"}, "data": {"kind": "logistic-regression", "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "sgd_inverse_sum": '{"adversary": {"alpha": 0.3333333333333333, "strategy": "byz-inverse-sum"}, "data": {"kind": "logistic-regression", "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.0, "decay_every": 30, "decay_factor": 10.0, "eta": 0.35, "rule": "dist-sgd"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 3}}',
     "mnist_mlp": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"images": "data/train-images-idx3-ubyte", "labels": "data/train-labels-idx1-ubyte", "source": "idx"}, "model": {"hidden_dim": 32, "input_dim": 784, "kind": "mlp", "num_classes": 10}, "optimizer": {"batch_size": 32, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 1e-05, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
 }
 
@@ -527,8 +524,7 @@ def every_key_configs():
         ExperimentConfig(model=ModelSpec("mlp", 9, hidden_dim=6, num_classes=3),
                          data=IdxData("img.idx", "lab.idx"), **shared),
         ExperimentConfig(model=ModelSpec("linear-regression", 5),
-                         data=SyntheticData(kind="linear-regression", n_samples=50,
-                                            noise_level=0.1), **shared),
+                         data=SyntheticData(kind="linear-regression", n_samples=50), **shared),
     ]
 
 
@@ -579,6 +575,22 @@ class TestConfigMapping:
             optimizer=OptimizerConfig("signsgd", 0.1),
             n_workers=2,
         )
+
+    @pytest.mark.parametrize("model, kind", [
+        ({"kind": "linear-regression", "input_dim": "3"}, "linear-regression"),
+        ({"kind": "logistic-regression", "input_dim": "3", "num_classes": "2"},
+         "logistic-regression"),
+        ({"kind": "logistic-regression", "input_dim": "3", "num_classes": "4"},
+         "logistic-regression"),
+        ({"kind": "mlp", "input_dim": "3", "hidden_dim": "2", "num_classes": "3"},
+         "logistic-regression"),
+    ])
+    def test_synthetic_kind_defaults_to_label_family(self, model, kind):
+        """Without [data] kind, synthetic labels are the family the model fits:
+        class labels for a classifier, real targets otherwise."""
+        mapping = {"model": model, "data": {"samples": "20"},
+                   "optimizer": {"rule": "signsgd", "eta": "0.1"}, "run": {"workers": "2"}}
+        assert config_from_mapping(mapping).data == SyntheticData(kind=kind, n_samples=20)
 
     def test_data_takes_keys_of_both_sources(self):
         mapping = bundled_mapping("logistic_blind")

@@ -527,6 +527,23 @@ class TestDrawBlocks:
         noise = NoiseModel("laplace", 1.0, 1.0)
         assert traced_peak(lambda: mc_sign_error(noise, 10**6, RngStream(2))) < 2**20
 
+    def test_sign_match_rate_holds_no_float_sign_block(self):
+        """A (400, 25,450) block, the 784-32-10 MLP's d, with exact zeros in the
+        draws and the true gradient: the counts of one np.sign comparison, and
+        a peak well under the 78 MiB float64 sign of the block."""
+        gen = RngStream(13, 0).generator
+        draws = np.round(gen.standard_normal((400, 25_450)), 1)
+        true_grad = np.round(gen.standard_normal(25_450), 1)
+        true_grad[:50] = 0.0
+        draws[:, 50:60] = -0.0
+        expected = (np.sign(draws) == np.sign(true_grad)).sum(axis=0) / len(draws)
+        out = []
+        peak = traced_peak(lambda: out.append(sign_match_rate_mc(draws, true_grad)))
+        rates, mask = out[0]
+        assert rates.tobytes() == expected.tobytes()
+        assert not mask[:50].any() and (mask == (np.abs(true_grad) > 1e-8)).all()
+        assert peak < 40 * 2**20
+
 
 # sha256 of the estimators' outputs on demo 07's data and parameters, recorded
 # before their batch indices were drawn in one call and their signs counted in one pass
