@@ -19,7 +19,7 @@ from signvote.optimizers import OptimizerConfig
 
 BASE = ExperimentConfig(
     model=ModelSpec("logistic-regression", 20, num_classes=2),
-    data=SyntheticData(kind="logistic-regression", n_samples=2000),
+    data=SyntheticData(n_samples=2000),
     optimizer=OptimizerConfig("signum", eta=0.035, beta=0.9, batch_size=16),
     n_workers=15,
     adversary=AdversaryConfig("blind-invert", 0.0),

@@ -56,16 +56,6 @@ def blind_invert(grad_estimate) -> np.ndarray:
     return -as_vector(grad_estimate, "gradient estimate")
 
 
-def _integer_sign_sum(honest_sign_sum) -> np.ndarray:
-    arr = np.asarray(honest_sign_sum)
-    if arr.ndim != 1:
-        raise ValueError(f"honest sign sum must be 1-D, got shape {arr.shape}")
-    if arr.dtype.kind == "f":
-        if not np.all(arr == np.round(arr)):
-            raise ValueError("honest sign sum must be integer-valued")
-    return arr.astype(np.int64)
-
-
 def byz_collude_signs(honest_sign_sum, f: int, variant: str = "zeroing") -> np.ndarray:
     """Colluding sign votes against the observed honest sign sum.
 
@@ -90,7 +80,12 @@ def byz_collude_signs(honest_sign_sum, f: int, variant: str = "zeroing") -> np.n
         raise ValueError("collusion needs f >= 1 adversaries (use strategy 'none' otherwise)")
     if variant not in COLLUDE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {COLLUDE_VARIANTS}")
-    s = _integer_sign_sum(honest_sign_sum)
+    s = np.asarray(honest_sign_sum)
+    if s.ndim != 1:
+        raise ValueError(f"honest sign sum must be 1-D, got shape {s.shape}")
+    if s.dtype.kind not in "iu":  # a float sum would cast inf and 1e30 to INT64_MIN
+        raise ValueError(f"honest sign sum must be an integer array, got dtype {s.dtype}")
+    s = s.astype(np.int64)
     sg = np.sign(s)
     abs_s = np.abs(s)
     # treat s == 0 as "sign +1" so the -base alternation starts at -1

@@ -16,7 +16,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import theory
 from .models import IdxFormatError, max_relative_grad_error, sample_batch
@@ -109,8 +108,7 @@ def _building(**fields):
 
 def _load_config(args) -> ExperimentConfig:
     with _reading("config"):
-        cfg = config_from_mapping(_read_config(args.config, args.set))
-        return cfg if args.seed is None else replace(cfg, seed=args.seed)
+        return config_from_mapping(_read_config(args.config, args.set))
 
 
 def _make_dir(path: str) -> str:
@@ -290,7 +288,6 @@ def _add_config_args(sub) -> None:
     sub.add_argument("--config", required=True, help="path to an INI experiment config")
     sub.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                      help="override a config entry (repeatable)")
-    sub.add_argument("--seed", type=int, help="override run.seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,6 @@ from .adversaries import (
 )
 from .core import NonFiniteError, RngStream, as_int, sum_signs
 from .models import (
-    SYNTHETIC_KINDS,
     Dataset,
     IdxFormatError,
     ModelSpec,
@@ -88,17 +87,13 @@ INIT_STREAM_ID = 2**32 + 1
 
 @dataclass(frozen=True, kw_only=True)
 class SyntheticData:
-    """Synthetic dataset request; ``kind`` names the generating family.
+    """Synthetic dataset request.  The model fixes the rest: the feature width
+    is its ``input_dim``, and the labels are the family it fits (class labels
+    for a classifier, real targets otherwise)."""
 
-    The feature width is the model's ``input_dim``.
-    """
-
-    kind: str
     n_samples: int
 
     def __post_init__(self):
-        if self.kind not in SYNTHETIC_KINDS:
-            raise ValueError(f"synthetic data supports {SYNTHETIC_KINDS}, not {self.kind!r}")
         if as_int(self.n_samples) < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -145,9 +140,6 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if not 0 <= as_int(self.seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if (self.model.is_classification and isinstance(self.data, SyntheticData)
-                and self.data.kind == "linear-regression"):
-            raise ValueError(f"{self.model.kind} needs class labels, not {self.data.kind!r} data")
         f = byzantine_count(self.adversary.alpha, self.n_workers)
         if f > 0:
             strategy = self.adversary.strategy
@@ -211,7 +203,8 @@ def load_data(cfg: ExperimentConfig) -> Dataset:
             raise IdxFormatError(f"{cfg.data.labels_path}: label {data.max_label} out "
                                  f"of range for {spec.num_classes} classes")
         return data
-    data, _ = generate_synthetic(RngStream(cfg.seed, DATA_STREAM_ID), cfg.data.kind,
+    family = "logistic-regression" if spec.is_classification else "linear-regression"
+    data, _ = generate_synthetic(RngStream(cfg.seed, DATA_STREAM_ID), family,
                                  spec.input_dim, cfg.data.n_samples)
     return data
 
@@ -399,36 +392,38 @@ def _int(value) -> int:
     return int(value) if isinstance(value, str) else as_int(value)
 
 
+def _float(value) -> float:
+    """A number, or a string spelling one; bools are rejected, as their
+    strings ("True") already are."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 # Every key a run config may use: (section, key) -> (dataclass, field it fills,
 # parser).  Defaults live only in the dataclasses; a key whose field has none
-# is required.  [data] takes the keys of both sources, and ``source`` names the
-# class that fills ExperimentConfig.data (see _DATA_SOURCES).
+# is required.  The [data] keys given pick ExperimentConfig.data's class.
 CONFIG_KEYS = {
     ("model", "kind"): (ModelSpec, "kind", str),
     ("model", "input_dim"): (ModelSpec, "input_dim", _int),
     ("model", "hidden_dim"): (ModelSpec, "hidden_dim", _int),
     ("model", "num_classes"): (ModelSpec, "num_classes", _int),
-    ("data", "source"): (ExperimentConfig, "data", str),
-    ("data", "kind"): (SyntheticData, "kind", str),
     ("data", "samples"): (SyntheticData, "n_samples", _int),
     ("data", "images"): (IdxData, "images_path", str),
     ("data", "labels"): (IdxData, "labels_path", str),
     ("optimizer", "rule"): (OptimizerConfig, "rule", str),
-    ("optimizer", "eta"): (OptimizerConfig, "eta", float),
-    ("optimizer", "beta"): (OptimizerConfig, "beta", float),
+    ("optimizer", "eta"): (OptimizerConfig, "eta", _float),
+    ("optimizer", "beta"): (OptimizerConfig, "beta", _float),
     ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", _int),
-    ("optimizer", "decay_factor"): (OptimizerConfig, "decay_factor", float),
+    ("optimizer", "decay_factor"): (OptimizerConfig, "decay_factor", _float),
     ("optimizer", "decay_every"): (OptimizerConfig, "decay_every", _int),
     ("adversary", "strategy"): (AdversaryConfig, "strategy", str),
-    ("adversary", "alpha"): (AdversaryConfig, "alpha", float),
+    ("adversary", "alpha"): (AdversaryConfig, "alpha", _float),
     ("run", "workers"): (ExperimentConfig, "n_workers", _int),
     ("run", "rounds"): (ExperimentConfig, "n_rounds", _int),
     ("run", "seed"): (ExperimentConfig, "seed", _int),
     ("run", "eval_every"): (ExperimentConfig, "eval_every", _int),
 }
-
-# [data] source names and the dataset class each one builds
-_DATA_SOURCES = {"synthetic": SyntheticData, "idx": IdxData}
 
 
 def parse_sections(mapping: dict, keys: dict) -> dict:
@@ -465,13 +460,11 @@ def config_to_mapping(cfg: ExperimentConfig) -> dict:
     Fields that are None (no hidden layer) are left out.
     """
     parts = {type(part): part for part in (cfg, cfg.model, cfg.data, cfg.optimizer, cfg.adversary)}
-    source_names = {cls: name for name, cls in _DATA_SOURCES.items()}
     mapping = {section: {} for section, _ in CONFIG_KEYS}
     for (section, key), (cls, name, _) in CONFIG_KEYS.items():
         value = getattr(parts[cls], name) if cls in parts else None
         if value is not None:
-            # the dataset object itself is written as its source name
-            mapping[section][key] = source_names.get(type(value), value)
+            mapping[section][key] = value
     return mapping
 
 
@@ -480,9 +473,9 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
     Values may be strings (fresh from a config file) or already typed (from a
     summary-JSON echo); both parse identically, so echoed configs replay.
-    Sections and keys outside :data:`CONFIG_KEYS` are rejected.  Data without
-    a ``source`` is synthetic, and its ``kind`` defaults to the label family
-    the model fits: logistic-regression labels for a classifier, else linear.
+    Sections and keys outside :data:`CONFIG_KEYS` are rejected.  ``images``
+    or ``labels`` in [data] make IDX data, anything else synthetic; a section
+    with keys of both is rejected.
     """
     parsed = parse_sections(mapping, CONFIG_KEYS)
     filled = {CONFIG_KEYS[key][:2]: value for key, value in parsed.items()}
@@ -500,16 +493,14 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
                 raise ValueError(f"missing config key {key!r}")
         return cls(**kwargs)
 
-    model = build(ModelSpec)
-    source = filled.get((ExperimentConfig, "data"), "synthetic")
-    if source not in _DATA_SOURCES:
-        raise ValueError(f"unknown data source {source!r} (expected 'synthetic' or 'idx')")
-    filled.setdefault((SyntheticData, "kind"),
-                      "logistic-regression" if model.is_classification else "linear-regression")
+    sources = {owner for owner, _ in filled} & {SyntheticData, IdxData}
+    if len(sources) > 1:
+        raise ValueError("[data] takes samples for synthetic data or images and labels "
+                         "for IDX files, not both")
     return build(
         ExperimentConfig,
-        model=model,
-        data=build(_DATA_SOURCES[source]),
+        model=build(ModelSpec),
+        data=build(sources.pop() if sources else SyntheticData),
         optimizer=build(OptimizerConfig),
         adversary=build(AdversaryConfig),
     )

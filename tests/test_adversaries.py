@@ -93,9 +93,13 @@ class TestColludeSigns:
         with pytest.raises(ValueError, match="f >= 1"):
             byz_collude_signs([1], 0)
 
+    # a float sum is rejected even where it is whole: cast to int64, inf and 1e30 read
+    # as INT64_MIN, which would vote +1 where |s| > f calls for -1
     @pytest.mark.parametrize("honest_sum, message", [
-        ([0.5], "integer-valued"),
+        ([0.5], "integer array, got dtype float64"),
         ([[1, 0], [0, 1]], r"honest sign sum must be 1-D, got shape \(2, 2\)"),
+        ([3.0], "integer array, got dtype float64"),
+        ([np.inf], "integer array, got dtype float64"),
     ])
     def test_fractional_sum_rejected(self, honest_sum, message):
         with pytest.raises(ValueError, match=message):

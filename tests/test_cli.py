@@ -23,8 +23,7 @@ def run_cli(capsys, *argv):
 
 
 # overrides that turn the quick config into a linear-regression run (no accuracy)
-REGRESSION = {("model", "kind"): "linear-regression", ("model", "num_classes"): None,
-              ("data", "kind"): "linear-regression"}
+REGRESSION = {("model", "kind"): "linear-regression", ("model", "num_classes"): None}
 
 
 def write_quick_config(tmp_path, overrides=None) -> str:
@@ -32,8 +31,6 @@ def write_quick_config(tmp_path, overrides=None) -> str:
         ("model", "kind"): "logistic-regression",
         ("model", "input_dim"): "6",
         ("model", "num_classes"): "2",
-        ("data", "source"): "synthetic",
-        ("data", "kind"): "logistic-regression",
         ("data", "samples"): "200",
         ("optimizer", "rule"): "signsgd",
         ("optimizer", "eta"): "0.05",
@@ -67,17 +64,13 @@ class TestRun:
         assert (out / "summary.json").exists()
 
     def test_mlp_on_synthetic_data_without_kind(self, tmp_path, capsys):
-        """An MLP config without [data] kind trains on logistic-regression labels."""
+        """An MLP config on synthetic data trains on class labels, as the model fixes."""
         mlp = {("model", "kind"): "mlp", ("model", "hidden_dim"): "4",
-               ("model", "num_classes"): "2", ("data", "kind"): None}
+               ("model", "num_classes"): "2"}
         cfg = write_quick_config(tmp_path, mlp)
         code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "a"))
         assert (code, payload["status"]) == (0, "ok")
-        code, _ = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "b"),
-                          "--set", "data.kind=logistic-regression")
-        assert code == 0
-        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
-            (tmp_path / "b" / "metrics.csv").read_bytes()
+        assert 0.0 <= payload["final_accuracy"] <= 1.0
 
     def test_deterministic_metrics_bytes(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
@@ -95,12 +88,15 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["optimizer"]["eta"] == 1e-4
 
-    def test_seed_flag_overrides(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "0", "--rules", "signsgd"],
+                                         ["gradient-check"]])
+    def test_seed_flag_rejected(self, tmp_path, capsys, command):
+        """The seed has one spelling, --set run.seed=N."""
         cfg = write_quick_config(tmp_path)
-        out = tmp_path / "s"
-        run_cli(capsys, "run", "--config", cfg, "--out", str(out), "--seed", "99")
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["run"]["seed"] == 99
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--config", cfg, *command[1:], "--seed", "99"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code, payload = run_cli(capsys, "run", "--config", str(tmp_path / "nope.cfg"),
@@ -113,6 +109,18 @@ class TestRun:
         code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"))
         assert code == 2
         assert payload["error"] == "config-invalid"
+
+    def test_data_with_keys_of_both_sources_exit_2(self, tmp_path, capsys):
+        """IDX files named next to the synthetic sample count are config-invalid,
+        not a synthetic run that ignores them."""
+        code, payload = run_cli(capsys, "run", "--config", BLIND_CONFIG,
+                                "--out", str(tmp_path / "x"),
+                                "--set", f"data.images={tmp_path / 'img.idx'}",
+                                "--set", f"data.labels={tmp_path / 'lab.idx'}")
+        assert (code, payload) == (2, {"error": "config-invalid", "message":
+                                       "[data] takes samples for synthetic data or images and "
+                                       "labels for IDX files, not both"})
+        assert not (tmp_path / "x").exists()
 
     def test_zero_synthetic_samples_exit_2(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path, {("data", "samples"): "0"})
@@ -153,7 +161,7 @@ class TestRun:
     def test_missing_idx_dataset_exit_2(self, tmp_path, capsys):
         cfg = write_quick_config(
             tmp_path,
-            {("data", "source"): "idx",
+            {("data", "samples"): None,
              ("data", "images"): str(tmp_path / "no-images"),
              ("data", "labels"): str(tmp_path / "no-labels")},
         )
@@ -167,7 +175,7 @@ class TestRun:
         images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
         images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(16))
         labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes(4))
-        cfg = write_quick_config(tmp_path, {("data", "source"): "idx",
+        cfg = write_quick_config(tmp_path, {("data", "samples"): None,
                                             ("data", "images"): str(images),
                                             ("data", "labels"): str(labels)})
         code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"))
@@ -181,7 +189,7 @@ class TestRun:
         images.write_bytes(struct.pack(">IIII", 0x803, 0, 3, 3))
         labels.write_bytes(struct.pack(">II", 0x801, 0))
         cfg = write_quick_config(tmp_path, {("model", "input_dim"): "9",
-                                            ("data", "source"): "idx",
+                                            ("data", "samples"): None,
                                             ("data", "images"): str(images),
                                             ("data", "labels"): str(labels)})
         code, payload = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"))
@@ -335,7 +343,9 @@ class TestMisspeltConfig:
     @pytest.mark.parametrize("section, key, value", [("run", "p_estimate", "0.6"),
                                                      ("optimizer", "weight_decay", "0"),
                                                      ("run", "out", "runs"),
-                                                     ("data", "noise_level", "0")])
+                                                     ("data", "noise_level", "0"),
+                                                     ("data", "source", "idx"),
+                                                     ("data", "kind", "logistic-regression")])
     def test_removed_key(self, tmp_path, capfd, section, key, value):
         """A removed key is an unknown key: JSON on stdout, exit 2, nothing on stderr."""
         done = subprocess.run([sys.executable, "-m", "signvote.cli", "run", "--config",
@@ -376,8 +386,7 @@ class TestBadNumbers:
     or a run that reports divergence (or no noise) later."""
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "0", "--rules", "signsgd"]])
-    @pytest.mark.parametrize("seed_args", [["--set", "run.seed=-1"], ["--seed", "-1"],
-                                           ["--seed", str(2**64)],
+    @pytest.mark.parametrize("seed_args", [["--set", "run.seed=-1"],
                                            ["--set", f"run.seed={2**64}"]])
     def test_seed_out_of_range(self, tmp_path, capsys, command, seed_args):
         cfg = write_quick_config(tmp_path)
@@ -416,7 +425,7 @@ class TestBadPathsAndCounts:
 
     @pytest.mark.parametrize("command", ["run", "gradient-check"])
     def test_idx_images_is_a_directory(self, tmp_path, capsys, command):
-        cfg = write_quick_config(tmp_path, {("data", "source"): "idx",
+        cfg = write_quick_config(tmp_path, {("data", "samples"): None,
                                             ("data", "images"): str(tmp_path),
                                             ("data", "labels"): str(tmp_path)})
         out = ["--out", str(tmp_path / "x")] if command == "run" else []
@@ -647,6 +656,22 @@ class TestReport:
         captured = capsys.readouterr()
         assert code == 0
         assert (f"warning: skipping {dirs[0]}: unknown config key 'noise_level' in "
+                "section [data]") in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
+
+    def test_source_and_kind_echo_skipped_with_warning(self, tmp_path, capsys):
+        """A summary.json written while [data] still took source and kind, which
+        the keys given and the model now fix, no longer replays."""
+        dirs = self.make_runs(tmp_path, capsys, 2)
+        summary = Path(dirs[0]) / "summary.json"
+        payload = json.loads(summary.read_text())
+        payload["config"]["data"] = {"kind": "logistic-regression", "samples": 200,
+                                     "source": "synthetic"}
+        summary.write_text(json.dumps(payload))
+        code = main(["report", *dirs, "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert (f"warning: skipping {dirs[0]}: unknown config key 'kind' in "
                 "section [data]") in captured.err
         assert json.loads(captured.out.strip().splitlines()[-1])["rows"] == 1
 

@@ -3,7 +3,8 @@
 Every key of the run-config table (``CONFIG_KEYS``) and of the grid-config
 table (``cli.GRID_KEYS``) gets a small valid value or a bad one: NaN, an
 infinity, zero, a negative, 1e-200, an empty or a non-numeric string; a
-drawn call may also carry one misspelt key or section.  Every call must end
+drawn call may also carry one misspelt key or section, and a run config
+starts from a synthetic or an IDX base.  Every call must end
 as a status or as an error kind that README documents, with that kind's
 exit code, strict JSON on stdout and nothing on stderr.  Sizes are capped so
 that no example asks for much memory or time.
@@ -11,7 +12,9 @@ that no example asks for much memory or time.
 Two file inputs are fuzzed too: the bytes of an IDX image and label pair
 given to ``run``, and the ``summary.json`` and ``metrics.csv`` of finished
 runs given to ``report``.  Every file written is under 10 KB, while an IDX
-header may declare up to 2^32 - 1 images or labels.
+header may declare up to 2^32 - 1 images or labels.  A config echo may also
+hold typed values no config file can spell: a boolean in any number key must
+make ``report`` skip the run.
 """
 
 import contextlib
@@ -45,8 +48,6 @@ RUN_VALUES = {
     ("model", "input_dim"): ("1", "3", "8"),
     ("model", "hidden_dim"): ("1", "4"),
     ("model", "num_classes"): ("2", "3"),
-    ("data", "source"): ("synthetic", "idx"),
-    ("data", "kind"): MODEL_KINDS,
     ("data", "samples"): ("1", "9", "64"),
     ("data", "images"): ("no-such-images.idx", "."),
     ("data", "labels"): ("no-such-labels.idx", "."),
@@ -66,12 +67,14 @@ RUN_VALUES = {
 RUN_BASE = {
     ("model", "kind"): "logistic-regression", ("model", "input_dim"): "3",
     ("model", "num_classes"): "2", ("data", "samples"): "16",
-    ("data", "images"): "no-such-images.idx", ("data", "labels"): "no-such-labels.idx",
     ("optimizer", "rule"): "signsgd", ("optimizer", "eta"): "0.05",
     ("optimizer", "batch_size"): "4", ("adversary", "strategy"): "blind-invert",
     ("adversary", "alpha"): "0.2", ("run", "workers"): "5", ("run", "rounds"): "2",
     ("run", "eval_every"): "1",
 }
+# the same run on IDX files that do not exist
+IDX_BASE = {**{key: value for key, value in RUN_BASE.items() if key != ("data", "samples")},
+            ("data", "images"): "no-such-images.idx", ("data", "labels"): "no-such-labels.idx"}
 
 # small valid values per grid-config key: vote workers <= 101, Monte Carlo
 # samples in 1000-2000
@@ -174,7 +177,8 @@ def test_readme_lists_every_kind():
 
 
 @SETTINGS
-@given(config=drawn_config(RUN_VALUES, RUN_BASE), command=st.sampled_from(COMMANDS))
+@given(config=st.one_of(drawn_config(RUN_VALUES, RUN_BASE), drawn_config(RUN_VALUES, IDX_BASE)),
+       command=st.sampled_from(COMMANDS))
 def test_run_config(config, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
@@ -232,7 +236,7 @@ def test_idx_files(files):
         path.write_text(config_text({
             ("model", "kind"): "mlp", ("model", "input_dim"): str(input_dim),
             ("model", "hidden_dim"): "2", ("model", "num_classes"): "3",
-            ("data", "source"): "idx", ("data", "images"): str(Path(tmp) / "images.idx"),
+            ("data", "images"): str(Path(tmp) / "images.idx"),
             ("data", "labels"): str(Path(tmp) / "labels.idx"),
             ("optimizer", "rule"): "signsgd", ("optimizer", "eta"): "0.05",
             ("optimizer", "batch_size"): "2", ("run", "workers"): "3",
@@ -310,6 +314,25 @@ def finished_runs(tmp_path_factory):
                                 "--set", f"adversary.alpha={alpha}"])
         assert code == 0, stdout
     return [root / "a", root / "b"]
+
+
+# typed values that a summary.json echo may hold and no config file can spell, for
+# every key that parses a number: each is rejected, so report skips the run
+# rather than replaying it at 1.0 or 0.0
+TYPED_BAD = (True, False)
+NUMBER_KEYS = sorted(key for key, (*_, parse) in CONFIG_KEYS.items() if parse is not str)
+
+
+@pytest.mark.parametrize("value", TYPED_BAD)
+@pytest.mark.parametrize("section, key", NUMBER_KEYS)
+def test_typed_echo_value(finished_runs, tmp_path, section, key, value):
+    dirs = [shutil.copytree(run, tmp_path / run.name) for run in finished_runs]
+    summary = json.loads((dirs[0] / "summary.json").read_text())
+    summary["config"].setdefault(section, {})[key] = value
+    (dirs[0] / "summary.json").write_text(json.dumps(summary))
+    code, stdout, stderr = call(["report", *map(str, dirs), "--out", str(tmp_path / "r.csv")])
+    assert (code, json.loads(stdout)["rows"]) == (0, 1)
+    assert stderr == f"warning: skipping {dirs[0]}: bad value for config key {key!r}: {value}\n"
 
 
 @SETTINGS

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from signvote.core import NonFiniteError, RngStream
-from signvote.models import ModelSpec
+from signvote.models import ModelSpec, generate_synthetic
 from signvote.optimizers import OptimizerConfig
 from signvote.simulation import (
     CONFIG_KEYS,
+    DATA_STREAM_ID,
     AdversaryConfig,
     DivergedError,
     ExperimentConfig,
@@ -38,7 +39,7 @@ def make_config(rule="signsgd", eta=0.05, beta=0.0, strategy="none", alpha=0.0,
         model = ModelSpec(kind, input_dim)
     return ExperimentConfig(
         model=model,
-        data=SyntheticData(kind=kind, n_samples=samples),
+        data=SyntheticData(n_samples=samples),
         optimizer=OptimizerConfig(rule, eta, beta=beta, batch_size=batch_size,
                                   decay_factor=decay_factor),
         n_workers=workers,
@@ -413,20 +414,11 @@ class TestConfigValidation:
         assert make_config(seed=2**64 - 1).seed == 2**64 - 1
 
     @pytest.mark.parametrize("kw,match", [
-        ({"kind": "logistic-regression", "n_samples": 0}, "n_samples"),
-        ({"kind": "mlp", "n_samples": 10}, "synthetic data supports"),
+        ({"n_samples": 0}, "n_samples"),
     ])
     def test_synthetic_data_rejected_at_construction(self, kw, match):
         with pytest.raises(ValueError, match=match):
             SyntheticData(**kw)
-
-    @pytest.mark.parametrize("model", [ModelSpec("logistic-regression", 6, num_classes=2),
-                                       ModelSpec("mlp", 6, hidden_dim=2, num_classes=3)])
-    def test_classifier_on_regression_targets_rejected(self, model):
-        """Real-valued targets carry no class labels: rejected with the config,
-        not in the first gradient of the run."""
-        with pytest.raises(ValueError, match="needs class labels, not 'linear-regression' data"):
-            dataclasses.replace(make_config(kind="linear-regression"), model=model)
 
     @pytest.mark.parametrize("field", ["n_workers", "n_rounds", "eval_every", "seed"])
     def test_integer_fields_reject_floats(self, field):
@@ -440,14 +432,14 @@ class TestConfigValidation:
 
     def test_synthetic_sample_count_rejects_floats(self):
         with pytest.raises(TypeError):
-            SyntheticData(kind="logistic-regression", n_samples=200.0)
+            SyntheticData(n_samples=200.0)
         with pytest.raises(TypeError):
-            SyntheticData(kind="logistic-regression", n_samples=True)
+            SyntheticData(n_samples=True)
 
     def test_synthetic_data_fields_are_keyword_only(self):
-        # a (kind, input_dim, n_samples) call must fail, not take 20 as the sample count
+        # an old (kind, n_samples) call must fail, not build without its kind
         with pytest.raises(TypeError):
-            SyntheticData("logistic-regression", 20, 2000)
+            SyntheticData("logistic-regression", 2000)
 
 
 class TestArtifacts:
@@ -500,12 +492,13 @@ class TestArtifacts:
 
 
 # config_to_mapping of the bundled configs, recorded while config_to_mapping and
-# config_from_mapping still spelled out every key by hand
+# config_from_mapping still spelled out every key by hand, less the [data] source
+# and kind keys since removed
 BUNDLED_MAPPINGS = {
-    "logistic_blind": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"kind": "logistic-regression", "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
-    "logistic_byzantine": '{"adversary": {"alpha": 0.4, "strategy": "byz-collude-zeroing"}, "data": {"kind": "logistic-regression", "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
-    "sgd_inverse_sum": '{"adversary": {"alpha": 0.3333333333333333, "strategy": "byz-inverse-sum"}, "data": {"kind": "logistic-regression", "samples": 2000, "source": "synthetic"}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.0, "decay_every": 30, "decay_factor": 10.0, "eta": 0.35, "rule": "dist-sgd"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 3}}',
-    "mnist_mlp": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"images": "data/train-images-idx3-ubyte", "labels": "data/train-labels-idx1-ubyte", "source": "idx"}, "model": {"hidden_dim": 32, "input_dim": 784, "kind": "mlp", "num_classes": 10}, "optimizer": {"batch_size": 32, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 1e-05, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "logistic_blind": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"samples": 2000}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "logistic_byzantine": '{"adversary": {"alpha": 0.4, "strategy": "byz-collude-zeroing"}, "data": {"samples": 2000}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 0.035, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
+    "sgd_inverse_sum": '{"adversary": {"alpha": 0.3333333333333333, "strategy": "byz-inverse-sum"}, "data": {"samples": 2000}, "model": {"input_dim": 20, "kind": "logistic-regression", "num_classes": 2}, "optimizer": {"batch_size": 16, "beta": 0.0, "decay_every": 30, "decay_factor": 10.0, "eta": 0.35, "rule": "dist-sgd"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 3}}',
+    "mnist_mlp": '{"adversary": {"alpha": 0.2, "strategy": "blind-invert"}, "data": {"images": "data/train-images-idx3-ubyte", "labels": "data/train-labels-idx1-ubyte"}, "model": {"hidden_dim": 32, "input_dim": 784, "kind": "mlp", "num_classes": 10}, "optimizer": {"batch_size": 32, "beta": 0.9, "decay_every": 30, "decay_factor": 10.0, "eta": 1e-05, "rule": "signum"}, "run": {"eval_every": 10, "rounds": 300, "seed": 8005, "workers": 15}}',
 }
 
 
@@ -524,7 +517,7 @@ def every_key_configs():
         ExperimentConfig(model=ModelSpec("mlp", 9, hidden_dim=6, num_classes=3),
                          data=IdxData("img.idx", "lab.idx"), **shared),
         ExperimentConfig(model=ModelSpec("linear-regression", 5),
-                         data=SyntheticData(kind="linear-regression", n_samples=50), **shared),
+                         data=SyntheticData(n_samples=50), **shared),
     ]
 
 
@@ -551,11 +544,11 @@ class TestConfigMapping:
         assert keys == set(CONFIG_KEYS)
 
     def test_one_dataclass_per_section(self):
-        """Only [data] fills more than one class: its source and the source's keys."""
+        """Only [data] fills more than one class: one per data source."""
         owners = {}
         for (section, _), (cls, _, _) in CONFIG_KEYS.items():
             owners.setdefault(section, set()).add(cls)
-        assert owners == {"model": {ModelSpec}, "data": {ExperimentConfig, SyntheticData, IdxData},
+        assert owners == {"model": {ModelSpec}, "data": {SyntheticData, IdxData},
                           "optimizer": {OptimizerConfig}, "adversary": {AdversaryConfig},
                           "run": {ExperimentConfig}}
 
@@ -571,43 +564,51 @@ class TestConfigMapping:
                    "run": {"workers": "2"}}
         assert config_from_mapping(mapping) == ExperimentConfig(
             model=ModelSpec("linear-regression", 3),
-            data=SyntheticData(kind="linear-regression", n_samples=20),
+            data=SyntheticData(n_samples=20),
             optimizer=OptimizerConfig("signsgd", 0.1),
             n_workers=2,
         )
 
-    @pytest.mark.parametrize("model, kind", [
-        ({"kind": "linear-regression", "input_dim": "3"}, "linear-regression"),
-        ({"kind": "logistic-regression", "input_dim": "3", "num_classes": "2"},
-         "logistic-regression"),
-        ({"kind": "logistic-regression", "input_dim": "3", "num_classes": "4"},
-         "logistic-regression"),
-        ({"kind": "mlp", "input_dim": "3", "hidden_dim": "2", "num_classes": "3"},
-         "logistic-regression"),
+    @pytest.mark.parametrize("model, family", [
+        (ModelSpec("linear-regression", 3), "linear-regression"),
+        (ModelSpec("logistic-regression", 3, num_classes=4), "logistic-regression"),
+        (ModelSpec("mlp", 3, hidden_dim=2, num_classes=3), "logistic-regression"),
     ])
-    def test_synthetic_kind_defaults_to_label_family(self, model, kind):
-        """Without [data] kind, synthetic labels are the family the model fits:
-        class labels for a classifier, real targets otherwise."""
-        mapping = {"model": model, "data": {"samples": "20"},
-                   "optimizer": {"rule": "signsgd", "eta": "0.1"}, "run": {"workers": "2"}}
-        assert config_from_mapping(mapping).data == SyntheticData(kind=kind, n_samples=20)
+    def test_synthetic_labels_follow_the_model(self, model, family):
+        """Synthetic labels are the family the model fits: class labels for a
+        classifier, real targets otherwise."""
+        cfg = dataclasses.replace(make_config(samples=20), model=model)
+        expected, _ = generate_synthetic(RngStream(cfg.seed, DATA_STREAM_ID), family, 3, 20)
+        data = load_data(cfg)
+        np.testing.assert_array_equal(data.features, expected.features)
+        np.testing.assert_array_equal(data.labels, expected.labels)
 
-    def test_data_takes_keys_of_both_sources(self):
+    @pytest.mark.parametrize("extra", [{"images": "i.idx"}, {"labels": "l.idx"},
+                                       {"images": "i.idx", "labels": "l.idx"}])
+    def test_data_with_keys_of_both_sources_rejected(self, extra):
         mapping = bundled_mapping("logistic_blind")
-        mapping["data"].update(source="idx", images="i.idx", labels="l.idx")
-        assert config_from_mapping(mapping).data == IdxData("i.idx", "l.idx")
+        mapping["data"].update(extra)
+        with pytest.raises(ValueError) as exc:
+            config_from_mapping(mapping)
+        assert str(exc.value) == ("[data] takes samples for synthetic data or images and "
+                                  "labels for IDX files, not both")
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("adversry", "alpha", "0.1", "unknown config section [adversry]"),
         ("optimizer", "bata", "0.5", "unknown config key 'bata' in section [optimizer]"),
         ("data", "samples", "many", "bad value for config key 'samples': 'many'"),
-        ("data", "source", "csv", "unknown data source 'csv' (expected 'synthetic' or 'idx')"),
+        ("data", "source", "csv", "unknown config key 'source' in section [data]"),
         # integer keys take no typed float or bool, as their strings are rejected too
         ("run", "workers", 5.7, "bad value for config key 'workers': 5.7"),
         ("run", "workers", 5.0, "bad value for config key 'workers': 5.0"),
         ("run", "rounds", True, "bad value for config key 'rounds': True"),
         ("optimizer", "batch_size", "16.0", "bad value for config key 'batch_size': '16.0'"),
         ("model", "input_dim", [20], "bad value for config key 'input_dim': [20]"),
+        # nor do float keys take a typed bool, which a summary.json echo may hold
+        ("optimizer", "eta", True, "bad value for config key 'eta': True"),
+        ("optimizer", "beta", False, "bad value for config key 'beta': False"),
+        ("optimizer", "decay_factor", True, "bad value for config key 'decay_factor': True"),
+        ("adversary", "alpha", False, "bad value for config key 'alpha': False"),
     ])
     def test_bad_entry_rejected(self, section, key, value, message):
         mapping = bundled_mapping("logistic_blind")
