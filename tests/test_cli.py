@@ -386,8 +386,11 @@ class TestBadNumbers:
     or a run that reports divergence (or no noise) later."""
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "0", "--rules", "signsgd"]])
+    # The ids keep the names these two cases had when the table also held the
+    # cases of the removed --seed flag at positions 1 and 2.
     @pytest.mark.parametrize("seed_args", [["--set", "run.seed=-1"],
-                                           ["--set", f"run.seed={2**64}"]])
+                                           ["--set", f"run.seed={2**64}"]],
+                             ids=["seed_args0", "seed_args3"])
     def test_seed_out_of_range(self, tmp_path, capsys, command, seed_args):
         cfg = write_quick_config(tmp_path)
         code, payload = run_cli(capsys, command[0], "--config", cfg,
