@@ -2,8 +2,9 @@
 
 Config files are flat INI with five sections (model, data, optimizer,
 adversary, run); ``--set section.key=value`` overrides individual entries.
-Every failure is one ``_Failure``, raised where its ``error`` kind is known;
-:func:`main` alone prints it, as a machine-readable JSON object.
+Every failure is one ``_Failure``, raised where its ``error`` kind is known
+(an argv that argparse rejects is a ``usage`` failure); :func:`main` alone
+prints it, as a machine-readable JSON object.
 Exit codes: 0 success, 1 assertion/bound failure or a diverged run, 2 usage
 or config error.
 """
@@ -42,10 +43,6 @@ EXIT_USAGE = 2
 GRADIENT_CHECK_TOLERANCE = 1e-5
 
 
-def _emit(payload: dict) -> None:
-    write_json(payload, sys.stdout)
-
-
 class _Failure(Exception):
     """A failure that :func:`main` prints as ``{"error": kind, "message": ...,
     **fields}`` before it returns ``code``."""
@@ -54,6 +51,13 @@ class _Failure(Exception):
         super().__init__(message)
         self.payload = {"error": kind, "message": message, **fields}
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises a bad argv as a ``usage`` failure."""
+
+    def error(self, message):
+        raise _Failure("usage", message)
 
 
 def _read_config(path: str, overrides=()) -> dict:
@@ -117,12 +121,6 @@ def _make_dir(path: str) -> str:
     return path
 
 
-def _out_dir(args) -> str:
-    if not args.out:
-        raise _Failure("usage", "no output directory: pass --out")
-    return _make_dir(args.out)
-
-
 def _write_run(record: RunRecord, out_dir: str) -> dict:
     with _writing(os.path.join(out_dir, "metrics.csv")) as path:
         write_metrics_csv(record, path)
@@ -139,43 +137,34 @@ def _write_run(record: RunRecord, out_dir: str) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
+    out = _make_dir(args.out)
     with _building():
         record = run_experiment(cfg)
-    _emit({"status": "ok", **_write_run(record, out)})
+    write_json({"status": "ok", **_write_run(record, out)}, sys.stdout)
     return EXIT_OK
 
 
 def _grid(convert):
-    """Parser of a comma-separated grid; empty items are skipped."""
-    return lambda text: [convert(item) for item in text.split(",") if item.strip() != ""]
-
-
-def _parse_grid(text: str, convert, what: str):
-    try:
-        values = _grid(convert)(text)
-    except ValueError as exc:
-        raise ValueError(f"bad {what} grid {text!r}") from exc
-    if not values:
-        raise ValueError(f"empty {what} grid")
-    return values
+    """Parser of a comma-separated grid; items are stripped, and empty ones skipped."""
+    def grid(text):  # argparse names a value it rejects by this function's name
+        return [convert(item.strip()) for item in text.split(",") if item.strip()]
+    return grid
 
 
 def _cmd_sweep(args) -> int:
     base = _load_config(args)
-    try:  # a grid that is empty, does not parse or names one run twice
-        pairs = sweep_configs(base, _parse_grid(args.alphas, float, "alpha"),
-                              _parse_grid(args.rules, str, "rule"))
+    try:  # a grid that is empty or names one run twice
+        pairs = sweep_configs(base, args.alphas, args.rules)
     except ValueError as exc:
         raise _Failure("usage", str(exc)) from exc
-    out = _out_dir(args)
+    out = _make_dir(args.out)
     run_dirs = [_make_dir(os.path.join(out, name)) for name, _ in pairs]
     runs = []
     for (name, cfg), run_dir in zip(pairs, run_dirs):
         with _building(run=name):
             record = run_experiment(cfg)
         runs.append({"name": name, **_write_run(record, run_dir)})
-    _emit({"status": "ok", "out": out, "runs": runs})
+    write_json({"status": "ok", "out": out, "runs": runs}, sys.stdout)
     return EXIT_OK
 
 
@@ -199,7 +188,7 @@ def _cmd_verify_bounds(args) -> int:
         rows = theory.bound_report(**{GRID_KEYS[key][0]: value for key, value in grids.items()})
     if not rows:
         raise _Failure("empty-grid", "the configured grids contain no check points")
-    out = _make_dir(args.out or ".")
+    out = _make_dir(args.out)
     with _writing(os.path.join(out, "bounds.csv")) as path:
         write_csv(path, theory.REPORT_HEADER,
                   ([row[key] for key in theory.REPORT_HEADER] for row in rows))
@@ -207,7 +196,7 @@ def _cmd_verify_bounds(args) -> int:
     with (_writing(os.path.join(out, "bounds_summary.json")) as path,
           open(path, "w", encoding="utf-8") as handle):
         write_json(summary, handle, indent=2)
-    _emit({"status": "ok" if summary["all_pass"] else "violations", **summary})
+    write_json({"status": "ok" if summary["all_pass"] else "violations", **summary}, sys.stdout)
     return EXIT_OK if summary["all_pass"] else EXIT_FAIL
 
 
@@ -224,12 +213,12 @@ def _cmd_gradient_check(args) -> int:
         batch = sample_batch(stream, data.n_samples, min(8, data.n_samples))
         worst = max(worst, max_relative_grad_error(cfg.model, params, data, batch))
     ok = worst < GRADIENT_CHECK_TOLERANCE
-    _emit({
+    write_json({
         "status": "ok" if ok else "gradient-mismatch",
         "max_relative_error": worst,
         "tolerance": GRADIENT_CHECK_TOLERANCE,
         "points": args.points,
-    })
+    }, sys.stdout)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -276,11 +265,11 @@ def _cmd_report(args) -> int:
                      run["accuracy"], steps_to))
     if not rows:
         raise _Failure("no-valid-runs", "none of the given run directories were readable")
-    with _writing(args.out or "report.csv") as out_path:
+    with _writing(args.out) as out_path:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         write_csv(out_path, ("rule", "alpha", "final_loss", "final_accuracy",
                              "steps_to_threshold"), rows)
-    _emit({"status": "ok", "out": out_path, "rows": len(rows)})
+    write_json({"status": "ok", "out": out_path, "rows": len(rows)}, sys.stdout)
     return EXIT_OK
 
 
@@ -291,7 +280,7 @@ def _add_config_args(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="signvote",
         description="sign-based distributed gradient descent under adversarial workers",
     )
@@ -301,14 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep", help="one run per (alpha, rule) pair")
     for sub in (run, sweep):
         _add_config_args(sub)
-        sub.add_argument("--out", help="output directory")
+        sub.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=_cmd_run)
-    sweep.add_argument("--alphas", required=True, help="comma-separated adversary fractions")
-    sweep.add_argument("--rules", required=True, help="comma-separated optimizer rules")
+    sweep.add_argument("--alphas", required=True, type=_grid(float),
+                       help="comma-separated adversary fractions")
+    sweep.add_argument("--rules", required=True, type=_grid(str),
+                       help="comma-separated optimizer rules")
     sweep.set_defaults(func=_cmd_sweep)
 
     verify = commands.add_parser("verify-bounds", help="check bounds on a numeric grid")
-    verify.add_argument("--out", help="output directory (default: current)")
+    verify.add_argument("--out", default=".", help="output directory (default: %(default)s)")
     verify.add_argument("--grid-config", help="INI file customizing the grids")
     verify.set_defaults(func=_cmd_verify_bounds)
 
@@ -321,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = commands.add_parser("report", help="tabulate finished runs into one CSV")
     report.add_argument("run_dirs", nargs="+", help="run directories with metrics + summary")
-    report.add_argument("--out", help="output CSV path (default: report.csv)")
+    report.add_argument("--out", default="report.csv",
+                        help="output CSV path (default: %(default)s)")
     report.add_argument("--loss-threshold", type=float,
                         help="loss level for the steps-to-threshold column "
                              "(default: half of each run's initial loss)")
@@ -330,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _Failure as failure:
-        _emit(failure.payload)
+        write_json(failure.payload, sys.stdout)
         return failure.code
 
 

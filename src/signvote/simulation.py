@@ -400,24 +400,31 @@ def _float(value) -> float:
     return float(value)
 
 
+def _str(value) -> str:
+    """A string; a typed value (a bool or a number) is rejected."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 # Every key a run config may use: (section, key) -> (dataclass, field it fills,
 # parser).  Defaults live only in the dataclasses; a key whose field has none
 # is required.  The [data] keys given pick ExperimentConfig.data's class.
 CONFIG_KEYS = {
-    ("model", "kind"): (ModelSpec, "kind", str),
+    ("model", "kind"): (ModelSpec, "kind", _str),
     ("model", "input_dim"): (ModelSpec, "input_dim", _int),
     ("model", "hidden_dim"): (ModelSpec, "hidden_dim", _int),
     ("model", "num_classes"): (ModelSpec, "num_classes", _int),
     ("data", "samples"): (SyntheticData, "n_samples", _int),
-    ("data", "images"): (IdxData, "images_path", str),
-    ("data", "labels"): (IdxData, "labels_path", str),
-    ("optimizer", "rule"): (OptimizerConfig, "rule", str),
+    ("data", "images"): (IdxData, "images_path", _str),
+    ("data", "labels"): (IdxData, "labels_path", _str),
+    ("optimizer", "rule"): (OptimizerConfig, "rule", _str),
     ("optimizer", "eta"): (OptimizerConfig, "eta", _float),
     ("optimizer", "beta"): (OptimizerConfig, "beta", _float),
     ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", _int),
     ("optimizer", "decay_factor"): (OptimizerConfig, "decay_factor", _float),
     ("optimizer", "decay_every"): (OptimizerConfig, "decay_every", _int),
-    ("adversary", "strategy"): (AdversaryConfig, "strategy", str),
+    ("adversary", "strategy"): (AdversaryConfig, "strategy", _str),
     ("adversary", "alpha"): (AdversaryConfig, "alpha", _float),
     ("run", "workers"): (ExperimentConfig, "n_workers", _int),
     ("run", "rounds"): (ExperimentConfig, "n_rounds", _int),

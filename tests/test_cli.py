@@ -22,6 +22,16 @@ def run_cli(capsys, *argv):
     return code, payload
 
 
+def usage_message(capsys, *argv) -> str:
+    """The message of the usage error that ``argv`` ends in: exit 2, one JSON
+    object on stdout and nothing on stderr."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert (code, payload["error"], err) == (2, "usage", "")
+    return payload["message"]
+
+
 # overrides that turn the quick config into a linear-regression run (no accuracy)
 REGRESSION = {("model", "kind"): "linear-regression", ("model", "num_classes"): None}
 
@@ -93,10 +103,11 @@ class TestRun:
     def test_seed_flag_rejected(self, tmp_path, capsys, command):
         """The seed has one spelling, --set run.seed=N."""
         cfg = write_quick_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main([command[0], "--config", cfg, *command[1:], "--seed", "99"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+        out = ["--out", str(tmp_path / "x")] if command[0] != "gradient-check" else []
+        message = usage_message(capsys, command[0], "--config", cfg, *out, *command[1:],
+                                "--seed", "99")
+        assert message == "unrecognized arguments: --seed 99"
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code, payload = run_cli(capsys, "run", "--config", str(tmp_path / "nope.cfg"),
@@ -140,16 +151,15 @@ class TestRun:
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "0", "--rules", "signsgd"]])
     def test_no_output_directory_exit_2(self, tmp_path, capsys, command):
         cfg = write_quick_config(tmp_path)
-        code, payload = run_cli(capsys, command[0], "--config", cfg, *command[1:])
-        assert (code, payload) == (2, {"error": "usage",
-                                       "message": "no output directory: pass --out"})
+        message = usage_message(capsys, command[0], "--config", cfg, *command[1:])
+        assert message == "the following arguments are required: --out"
 
     def test_parallel_flag_rejected(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", cfg, "--out", str(tmp_path / "x"), "--parallel"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+        message = usage_message(capsys, "run", "--config", cfg, "--out", str(tmp_path / "x"),
+                                "--parallel")
+        assert message == "unrecognized arguments: --parallel"
+        assert not (tmp_path / "x").exists()
 
     def test_bad_override_exit_2(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
@@ -237,14 +247,24 @@ class TestSweep:
         for name in names:
             assert (out / name / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("alphas, message", [("", "empty alpha grid"),
-                                                 ("0,x", "bad alpha grid '0,x'")])
+    @pytest.mark.parametrize("alphas, message", [
+        ("", "alpha and rule grids must be non-empty"),
+        ("0,x", "argument --alphas: invalid grid value: '0,x'"),
+    ], ids=["empty", "unparsable"])
     def test_empty_grid_exit_2(self, tmp_path, capsys, alphas, message):
         cfg = write_quick_config(tmp_path)
-        code, payload = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "x"),
-                                "--alphas", alphas, "--rules", "signsgd")
-        assert (code, payload) == (2, {"error": "usage", "message": message})
+        assert usage_message(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "x"),
+                             "--alphas", alphas, "--rules", "signsgd") == message
         assert not (tmp_path / "x").exists()
+
+    def test_grid_items_stripped(self, tmp_path, capsys):
+        """A comma-space list names rules as it gives numbers."""
+        cfg = write_quick_config(tmp_path, {("run", "rounds"): "2"})
+        code, payload = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                                "--alphas", "0, 0.2", "--rules", "signsgd, signum")
+        assert code == 0
+        assert [run["name"] for run in payload["runs"]] == [
+            "signsgd-alpha0", "signum-alpha0", "signsgd-alpha0.2", "signum-alpha0.2"]
 
     def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path)
@@ -275,6 +295,20 @@ class TestVerifyBounds:
         assert text[0] == "check,point,value,bound,tolerance,margin,status"
         assert len(text) == 1 + 2 * 2 * 2 + 4  # two checks per MC point + vote grid
         assert (out / "bounds_summary.json").exists()
+
+    def test_grid_items_stripped(self, tmp_path, capsys):
+        """A comma-space list in a grid config reads as the comma list does."""
+        written = []
+        for sep in (",", ", "):
+            grid = tmp_path / "grid.cfg"
+            grid.write_text(f"[sign-error]\nsnr = 0.5{sep}2\nfamilies = gaussian{sep}laplace\n"
+                            f"samples = 1000\n[vote]\nworkers = 11{sep}51\n")
+            out = tmp_path / f"b{len(written)}"
+            assert run_cli(capsys, "verify-bounds", "--out", str(out),
+                           "--grid-config", str(grid))[0] in (0, 1)
+            written.append((out / "bounds.csv").read_bytes())
+        assert written[0] == written[1]
+        assert b"laplace" in written[0]
 
     def test_inadmissible_rows_not_failures(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"
@@ -379,6 +413,30 @@ class TestMisspeltConfig:
                                 "--grid-config", str(grid))
         assert (code, payload) == (2, {"error": "config-invalid", "message": message})
         assert not (tmp_path / "b").exists()
+
+
+class TestArgvErrors:
+    """An argv that argparse rejects is one usage error on stdout, not
+    argparse's usage text on stderr."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config", BLIND_CONFIG, "--out", "x", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'run', 'sweep', "
+                    "'verify-bounds', 'gradient-check', 'report')"),
+        ([], "the following arguments are required: command"),
+        (["run", "--config", BLIND_CONFIG], "the following arguments are required: --out"),
+        (["gradient-check", "--config", BLIND_CONFIG, "--points", "abc"],
+         "argument --points: invalid int value: 'abc'"),
+    ], ids=["unknown-flag", "unknown-command", "no-command", "no-out", "points-not-int"])
+    def test_usage_json_only(self, tmp_path, capfd, argv, message):
+        done = subprocess.run([sys.executable, "-m", "signvote.cli", *argv], cwd=tmp_path,
+                              env=source_env(), timeout=120)
+        out, err = capfd.readouterr()
+        assert done.returncode == 2
+        assert json.loads(out) == {"error": "usage", "message": message}
+        assert err == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBadNumbers:

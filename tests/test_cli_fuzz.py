@@ -13,13 +13,17 @@ Two file inputs are fuzzed too: the bytes of an IDX image and label pair
 given to ``run``, and the ``summary.json`` and ``metrics.csv`` of finished
 runs given to ``report``.  Every file written is under 10 KB, while an IDX
 header may declare up to 2^32 - 1 images or labels.  A config echo may also
-hold typed values no config file can spell: a boolean in any number key must
-make ``report`` skip the run.
+hold typed values no config file can spell: a boolean in any key, or a number
+in a string key, must make ``report`` skip the run.
+
+The argv itself is drawn from a small alphabet of subcommands, flags and
+values, good and bad: every call ends as one JSON object on stdout.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
 import struct
@@ -317,14 +321,15 @@ def finished_runs(tmp_path_factory):
 
 
 # typed values that a summary.json echo may hold and no config file can spell, for
-# every key that parses a number: each is rejected, so report skips the run
-# rather than replaying it at 1.0 or 0.0
-TYPED_BAD = (True, False)
-NUMBER_KEYS = sorted(key for key, (*_, parse) in CONFIG_KEYS.items() if parse is not str)
+# every key: each is rejected, so report skips the run rather than replaying it
+# at 1.0 or 0.0, or with a kind, rule or path spelt 'True'
+STRING_KEYS = {("model", "kind"), ("data", "images"), ("data", "labels"),
+               ("optimizer", "rule"), ("adversary", "strategy")}
+TYPED_BAD = [(section, key, value) for section, key in sorted(CONFIG_KEYS)
+             for value in ((True, 7) if (section, key) in STRING_KEYS else (True, False))]
 
 
-@pytest.mark.parametrize("value", TYPED_BAD)
-@pytest.mark.parametrize("section, key", NUMBER_KEYS)
+@pytest.mark.parametrize("section, key, value", TYPED_BAD)
 def test_typed_echo_value(finished_runs, tmp_path, section, key, value):
     dirs = [shutil.copytree(run, tmp_path / run.name) for run in finished_runs]
     summary = json.loads((dirs[0] / "summary.json").read_text())
@@ -361,3 +366,38 @@ def test_report_run_dirs(finished_runs, data):
         assert payload["rows"] + len(warnings) == 2, (payload, stderr)
     else:
         assert (code, payload["error"], len(warnings)) == (2, "no-valid-runs", 2), payload
+
+
+# -- argv through the parser ------------------------------------------------------
+
+# words and the values they take, run in a fresh directory that holds quick.cfg
+# and grid.cfg; "-h" and every prefix of "--help" are left out, since help exits
+# by design.  The grid config keeps verify-bounds off its default grid.
+COMMAND_TOKENS = (("run",), ("sweep",), ("verify-bounds", "--grid-config", "grid.cfg"),
+                  ("gradient-check",), ("report", "@RUN"), ("report",), ("bogus",))
+FLAG_TOKENS = (("--config", "quick.cfg"), ("--config", "missing.cfg"), ("--out", "out"),
+               ("--out", ""), ("--alphas", "0, 0.2"), ("--alphas", "0,x"), ("--alphas", ","),
+               ("--rules", "signsgd, signum"), ("--rules", "nope"), ("--points", "0"),
+               ("--points", "abc"), ("--seed", "1"), ("--bogus",))
+
+
+@SETTINGS
+@given(head=st.sampled_from(COMMAND_TOKENS + ((),)),
+       tail=st.lists(st.sampled_from(FLAG_TOKENS + COMMAND_TOKENS), max_size=6))
+def test_argv(finished_runs, head, tail):
+    argv = [word.replace("@RUN", str(finished_runs[0])) for token in (head, *tail)
+            for word in token]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("quick.cfg").write_text(config_text(RUN_BASE))
+            Path("grid.cfg").write_text(config_text(GRID_BASE))
+            code, stdout, stderr = call(argv)
+        finally:
+            os.chdir(cwd)
+    assert all(line.startswith("warning: skipping ") for line in stderr.splitlines()), stderr
+    assert len(stdout.splitlines()) == 1, stdout
+    assert_documented(code, stdout, "")
+    payload = json.loads(stdout)
+    event(payload.get("status", payload.get("error")))

@@ -1,7 +1,8 @@
 """The commands and code that README and the CI workflow show still run: the
 library quick start executes, and every ``signvote ...`` command line parses
 with the CLI's own parser, so neither can name a removed class argument,
-flag or subcommand."""
+flag or subcommand; and README's table of error kinds names the kinds the
+CLI raises."""
 
 import re
 import shlex
@@ -11,10 +12,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from signvote.cli import build_parser
+from signvote import cli
 
 REPO = Path(__file__).resolve().parents[1]
 README = (REPO / "README.md").read_text()
+CLI = Path(cli.__file__).read_text()
 WORKFLOW = yaml.safe_load((REPO / ".github" / "workflows" / "tests.yml").read_text())
 
 
@@ -60,6 +62,14 @@ def test_documented_command_lines_parse(where):
     assert {argv[0] for argv in commands} == expected
     for argv in commands:
         try:
-            build_parser().parse_args(argv)
-        except SystemExit:
+            cli.build_parser().parse_args(argv)
+        except cli._Failure:
             pytest.fail(f"{where}: `signvote {shlex.join(argv)}` does not parse")
+
+
+def test_error_table_lists_every_raised_kind():
+    """README's table of error kinds names exactly the kinds the CLI raises."""
+    table = README[README.index("| kind | exit | printed by |"):].split("\n\n")[0]
+    documented = set(re.findall(r"^ *\| `([a-z-]+)` \|", table, flags=re.M))
+    raised = set(re.findall(r'_Failure\("([a-z-]+)"', CLI))
+    assert documented == raised
