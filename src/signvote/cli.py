@@ -15,6 +15,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -62,17 +63,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config(path: str, overrides=()) -> dict:
     """``{section: {key: value}}`` of an INI file, with ``section.key=value``
-    overrides applied; an OSError from opening the file propagates."""
+    overrides applied; an OSError from opening the file propagates.  An
+    override's key and value read as an INI line's: stripped, the key lower-cased."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle)
     mapping = {section: dict(parser.items(section)) for section in parser.sections()}
     for item in overrides or ():
         key, sep, value = item.partition("=")
-        section, dot, name = key.partition(".")
+        section, dot, name = key.strip().partition(".")
         if not sep or not dot or not section or not name:
             raise ValueError(f"override {item!r} must look like section.key=value")
-        mapping.setdefault(section, {})[name] = value
+        mapping.setdefault(section, {})[parser.optionxform(name.strip())] = value.strip()
     return mapping
 
 
@@ -280,6 +282,12 @@ def _add_config_args(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def finite(text):  # argparse names a value it rejects by this function's name
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(text)
+        return value
+
     parser = _Parser(
         prog="signvote",
         description="sign-based distributed gradient descent under adversarial workers",
@@ -314,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("run_dirs", nargs="+", help="run directories with metrics + summary")
     report.add_argument("--out", default="report.csv",
                         help="output CSV path (default: %(default)s)")
-    report.add_argument("--loss-threshold", type=float,
-                        help="loss level for the steps-to-threshold column "
+    report.add_argument("--loss-threshold", type=finite,
+                        help="finite loss level for the steps-to-threshold column "
                              "(default: half of each run's initial loss)")
     report.set_defaults(func=_cmd_report)
     return parser

@@ -325,19 +325,22 @@ def sweep_configs(base: ExperimentConfig, alpha_grid, rule_grid):
 METRICS_HEADER = ("step", "loss", "accuracy", "eta", "sign_agreement", "zero_fraction")
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header line and one comma-separated line per row.
+def _text(value) -> str:
+    """``value`` spelled as a CSV cell or an INI value: a str as is, a Python or
+    numpy integer with ``str``, any other number as ``repr(float(value))``, the
+    shortest decimal that round-trips the float64 exactly (``nan`` for NaN)."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return repr(float(value))
 
-    A str cell is written as is and a Python int with ``str``; any other cell
-    as ``repr(float(cell))``, the shortest decimal that round-trips the
-    float64 exactly (``nan`` for NaN).  No cell is quoted, so none may hold a
-    comma.
-    """
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one comma-separated line per row, each cell
+    spelled by :func:`_text`.  No cell is quoted, so none may hold a comma."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str)
-                              else str(cell) if isinstance(cell, int)
-                              else repr(float(cell)) for cell in row))
+    lines += [",".join(map(_text, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -367,18 +370,9 @@ def write_json(payload, handle, indent: int | None = None) -> None:
 
 
 def write_summary_json(record: RunRecord, path) -> None:
-    last = record.metrics[-1]
-    payload = {
-        "config": config_to_mapping(record.config),
-        "final": {
-            "step": last.step,
-            "loss": last.train_loss,
-            "accuracy": last.eval_accuracy,
-            "sign_agreement": last.sign_agreement,
-            "zero_fraction": last.zero_fraction,
-        },
-        "wall_time_s": record.wall_time_s,
-    }
+    """The run's config echo, as text, and its wall time; the numbers it
+    reached are in ``metrics.csv``."""
+    payload = {"config": config_to_mapping(record.config), "wall_time_s": record.wall_time_s}
     with open(path, "w", encoding="utf-8") as handle:
         write_json(payload, handle, indent=2)
 
@@ -386,50 +380,29 @@ def write_summary_json(record: RunRecord, path) -> None:
 # -- config <-> plain mapping ---------------------------------------------------
 
 
-def _int(value) -> int:
-    """An integer, or a string spelling one; floats and bools are rejected,
-    as their strings ("5.0", "True") already are."""
-    return int(value) if isinstance(value, str) else as_int(value)
-
-
-def _float(value) -> float:
-    """A number, or a string spelling one; bools are rejected, as their
-    strings ("True") already are."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _str(value) -> str:
-    """A string; a typed value (a bool or a number) is rejected."""
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
-
-
 # Every key a run config may use: (section, key) -> (dataclass, field it fills,
 # parser).  Defaults live only in the dataclasses; a key whose field has none
 # is required.  The [data] keys given pick ExperimentConfig.data's class.
 CONFIG_KEYS = {
-    ("model", "kind"): (ModelSpec, "kind", _str),
-    ("model", "input_dim"): (ModelSpec, "input_dim", _int),
-    ("model", "hidden_dim"): (ModelSpec, "hidden_dim", _int),
-    ("model", "num_classes"): (ModelSpec, "num_classes", _int),
-    ("data", "samples"): (SyntheticData, "n_samples", _int),
-    ("data", "images"): (IdxData, "images_path", _str),
-    ("data", "labels"): (IdxData, "labels_path", _str),
-    ("optimizer", "rule"): (OptimizerConfig, "rule", _str),
-    ("optimizer", "eta"): (OptimizerConfig, "eta", _float),
-    ("optimizer", "beta"): (OptimizerConfig, "beta", _float),
-    ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", _int),
-    ("optimizer", "decay_factor"): (OptimizerConfig, "decay_factor", _float),
-    ("optimizer", "decay_every"): (OptimizerConfig, "decay_every", _int),
-    ("adversary", "strategy"): (AdversaryConfig, "strategy", _str),
-    ("adversary", "alpha"): (AdversaryConfig, "alpha", _float),
-    ("run", "workers"): (ExperimentConfig, "n_workers", _int),
-    ("run", "rounds"): (ExperimentConfig, "n_rounds", _int),
-    ("run", "seed"): (ExperimentConfig, "seed", _int),
-    ("run", "eval_every"): (ExperimentConfig, "eval_every", _int),
+    ("model", "kind"): (ModelSpec, "kind", str),
+    ("model", "input_dim"): (ModelSpec, "input_dim", int),
+    ("model", "hidden_dim"): (ModelSpec, "hidden_dim", int),
+    ("model", "num_classes"): (ModelSpec, "num_classes", int),
+    ("data", "samples"): (SyntheticData, "n_samples", int),
+    ("data", "images"): (IdxData, "images_path", str),
+    ("data", "labels"): (IdxData, "labels_path", str),
+    ("optimizer", "rule"): (OptimizerConfig, "rule", str),
+    ("optimizer", "eta"): (OptimizerConfig, "eta", float),
+    ("optimizer", "beta"): (OptimizerConfig, "beta", float),
+    ("optimizer", "batch_size"): (OptimizerConfig, "batch_size", int),
+    ("optimizer", "decay_factor"): (OptimizerConfig, "decay_factor", float),
+    ("optimizer", "decay_every"): (OptimizerConfig, "decay_every", int),
+    ("adversary", "strategy"): (AdversaryConfig, "strategy", str),
+    ("adversary", "alpha"): (AdversaryConfig, "alpha", float),
+    ("run", "workers"): (ExperimentConfig, "n_workers", int),
+    ("run", "rounds"): (ExperimentConfig, "n_rounds", int),
+    ("run", "seed"): (ExperimentConfig, "seed", int),
+    ("run", "eval_every"): (ExperimentConfig, "eval_every", int),
 }
 
 
@@ -439,7 +412,8 @@ def parse_sections(mapping: dict, keys: dict) -> dict:
     ``keys`` maps every (section, key) the mapping may use to a tuple whose
     last item parses the value.  Returns ``{(section, key): parsed value}``
     for the keys present.  A mapping or section body that is not a dict, an
-    unknown section or key, or a value its parser rejects, raises ValueError.
+    unknown section or key, a value that is not a str (a config value is text,
+    as in an INI file), or one its parser rejects, raises ValueError.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"config must map sections to keys, got {type(mapping).__name__}")
@@ -455,6 +429,8 @@ def parse_sections(mapping: dict, keys: dict) -> dict:
             if (section, key) not in keys:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
             try:
+                if not isinstance(raw, str):
+                    raise TypeError(f"{raw!r} is not text")
                 parsed[section, key] = keys[section, key][-1](raw)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad value for config key {key!r}: {raw!r}") from exc
@@ -462,7 +438,8 @@ def parse_sections(mapping: dict, keys: dict) -> dict:
 
 
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
-    """Flatten a config into the five-section mapping used by config files.
+    """Flatten a config into the five-section mapping used by config files,
+    every value spelled as its INI line would hold it (see :func:`_text`).
 
     Fields that are None (no hidden layer) are left out.
     """
@@ -471,18 +448,18 @@ def config_to_mapping(cfg: ExperimentConfig) -> dict:
     for (section, key), (cls, name, _) in CONFIG_KEYS.items():
         value = getattr(parts[cls], name) if cls in parts else None
         if value is not None:
-            mapping[section][key] = value
+            mapping[section][key] = _text(value)
     return mapping
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a validated config from the five-section mapping.
 
-    Values may be strings (fresh from a config file) or already typed (from a
-    summary-JSON echo); both parse identically, so echoed configs replay.
-    Sections and keys outside :data:`CONFIG_KEYS` are rejected.  ``images``
-    or ``labels`` in [data] make IDX data, anything else synthetic; a section
-    with keys of both is rejected.
+    Every value is text, as a config file or a ``summary.json`` echo holds
+    it, so an echoed config replays; a typed value is rejected, and so are
+    sections and keys outside :data:`CONFIG_KEYS`.  ``images`` or ``labels``
+    in [data] make IDX data, anything else synthetic; a section with keys of
+    both is rejected.
     """
     parsed = parse_sections(mapping, CONFIG_KEYS)
     filled = {CONFIG_KEYS[key][:2]: value for key, value in parsed.items()}

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from signvote.cli import GRID_KEYS, main
-from signvote.simulation import CONFIG_KEYS
+from signvote.cli import GRID_KEYS, _read_config, main
+from signvote.simulation import (CONFIG_KEYS, config_from_mapping, config_to_mapping,
+                                 parse_sections)
 
 REPO = Path(__file__).resolve().parents[1]
 BLIND_CONFIG = str(REPO / "configs" / "logistic_blind.cfg")
+MNIST_CONFIG = str(REPO / "configs" / "mnist_mlp.cfg")
 
 
 def run_cli(capsys, *argv):
@@ -96,7 +98,7 @@ class TestRun:
                           "--set", "optimizer.eta=1e-4")
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["optimizer"]["eta"] == 1e-4
+        assert summary["config"]["optimizer"]["eta"] == "0.0001"
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "0", "--rules", "signsgd"],
                                          ["gradient-check"]])
@@ -220,10 +222,11 @@ class TestRun:
         payload = json.loads(stdout, parse_constant=reject)
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert payload["final_accuracy"] is None
-        assert summary["final"]["accuracy"] is None
-        assert summary["final"]["loss"] == payload["final_loss"]
-        # metrics.csv keeps its own spelling of the missing accuracy
-        assert (out / "metrics.csv").read_text().splitlines()[1].split(",")[2] == "nan"
+        assert set(summary) == {"config", "wall_time_s"}
+        # metrics.csv keeps its own spelling of the missing accuracy, and the final loss
+        rows = (out / "metrics.csv").read_text().splitlines()
+        assert rows[1].split(",")[2] == "nan"
+        assert float(rows[-1].split(",")[1]) == payload["final_loss"]
 
     def test_bundled_config_round_trip(self, tmp_path, capsys):
         out = tmp_path / "bundled"
@@ -231,7 +234,9 @@ class TestRun:
                           "--set", "run.rounds=20")
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["run"]["seed"] == 8005
+        assert summary["config"]["run"]["seed"] == "8005"
+        assert all(isinstance(value, str)
+                   for body in summary["config"].values() for value in body.values())
 
 
 class TestSweep:
@@ -391,6 +396,35 @@ class TestMisspeltConfig:
                                    f"unknown config key {key!r} in section [{section}]"}
         assert err == ""
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section, key", sorted(CONFIG_KEYS))
+    def test_set_reads_like_the_ini_line(self, tmp_path, section, key):
+        """``--set "section.KEY  =  value  "`` builds the config that the INI line
+        ``KEY  =  value  `` does: the key is lower-cased, key and value stripped."""
+        base = BLIND_CONFIG if (section, key) == ("data", "samples") else MNIST_CONFIG
+        cfg = config_from_mapping(_read_config(base))
+        mapping = config_to_mapping(cfg)
+        value = mapping[section].pop(key)
+
+        def write(name, extra):
+            path = tmp_path / name
+            path.write_text("".join(
+                f"[{part}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                + (extra if part == section else "") for part, body in mapping.items()))
+            return str(path)
+
+        line = f"{key.upper()}  =  {value}  "
+        from_ini = config_from_mapping(_read_config(write("ini.cfg", line + "\n")))
+        from_set = config_from_mapping(_read_config(write("base.cfg", ""),
+                                                    [f"{section}.{line}"]))
+        assert from_ini == from_set == cfg
+
+    @pytest.mark.parametrize("section, key", [("mc", "seed"), ("vote", "workers")])
+    def test_grid_table_takes_text_only(self, section, key):
+        """The grid table shares the run table's one check: a typed value is no text."""
+        with pytest.raises(ValueError) as exc:
+            parse_sections({section: {key: 20}}, GRID_KEYS)
+        assert str(exc.value) == f"bad value for config key {key!r}: 20"
 
     @pytest.mark.parametrize("command", [["sweep", "--alphas", "0", "--rules", "signsgd"],
                                          ["gradient-check"]])
@@ -608,6 +642,18 @@ class TestReport:
         row = out_csv.read_text().splitlines()[1]
         assert row.endswith(",")  # sentinel: empty final column
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_usage(self, tmp_path, capsys, value):
+        """No loss meets a NaN threshold and every loss an infinite one, so neither
+        is a threshold: a usage error, with nothing written."""
+        dirs = self.make_runs(tmp_path, capsys, 1)
+        out_csv = tmp_path / "t.csv"
+        # "-inf" as a word of its own would read as a flag, so each value is joined on
+        message = usage_message(capsys, "report", dirs[0], "--out", str(out_csv),
+                                f"--loss-threshold={value}")
+        assert message == f"argument --loss-threshold: invalid finite value: {value!r}"
+        assert not out_csv.exists()
+
     def test_malformed_dir_skipped_with_warning(self, tmp_path, capsys):
         dirs = self.make_runs(tmp_path, capsys, 1)
         bad = tmp_path / "broken"
@@ -644,15 +690,14 @@ class TestReport:
 
     @pytest.mark.parametrize("final", [None, {"loss": True, "accuracy": "x"}, [1e300]])
     def test_summary_final_block_not_read(self, tmp_path, capsys, final):
-        """The numbers come from metrics.csv: a summary.json whose final block is
-        missing or junk (a JSON true for the loss, say) gives the same report."""
+        """The numbers come from metrics.csv: summary.json has no final block, and
+        one added (junk such as a JSON true for the loss, say) gives the same report."""
         dirs = self.make_runs(tmp_path, capsys, 2)
         assert run_cli(capsys, "report", *dirs, "--out", str(tmp_path / "a.csv"))[0] == 0
         summary = Path(dirs[0]) / "summary.json"
         payload = json.loads(summary.read_text())
-        if final is None:
-            del payload["final"]
-        else:
+        assert "final" not in payload
+        if final is not None:
             payload["final"] = final
         summary.write_text(json.dumps(payload))
         code = main(["report", *dirs, "--out", str(tmp_path / "b.csv")])

@@ -12,9 +12,9 @@ that no example asks for much memory or time.
 Two file inputs are fuzzed too: the bytes of an IDX image and label pair
 given to ``run``, and the ``summary.json`` and ``metrics.csv`` of finished
 runs given to ``report``.  Every file written is under 10 KB, while an IDX
-header may declare up to 2^32 - 1 images or labels.  A config echo may also
-hold typed values no config file can spell: a boolean in any key, or a number
-in a string key, must make ``report`` skip the run.
+header may declare up to 2^32 - 1 images or labels.  A config echo is text,
+as a config file is; a typed value in it (a boolean in any key, or a number
+in a string key) must make ``report`` skip the run.
 
 The argv itself is drawn from a small alphabet of subcommands, flags and
 values, good and bad: every call ends as one JSON object on stdout.
@@ -320,9 +320,10 @@ def finished_runs(tmp_path_factory):
     return [root / "a", root / "b"]
 
 
-# typed values that a summary.json echo may hold and no config file can spell, for
-# every key: each is rejected, so report skips the run rather than replaying it
-# at 1.0 or 0.0, or with a kind, rule or path spelt 'True'
+# typed values, which no config file can spell and no summary.json echo holds any
+# more (an older echo does), for every key: parse_sections rejects each as no text,
+# so report skips the run rather than replaying it at 1.0 or 0.0, or with a kind,
+# rule or path spelt 'True'
 STRING_KEYS = {("model", "kind"), ("data", "images"), ("data", "labels"),
                ("optimizer", "rule"), ("adversary", "strategy")}
 TYPED_BAD = [(section, key, value) for section, key in sorted(CONFIG_KEYS)

@@ -44,7 +44,7 @@ SCRIPTS = {
     "README": ("\n".join(fenced(README, "sh")),
                {"run", "sweep", "verify-bounds", "gradient-check", "report"}),
     "workflow": ("\n".join(step.get("run", "") for job in WORKFLOW["jobs"].values()
-                           for step in job["steps"]), {"run", "verify-bounds"}),
+                           for step in job["steps"]), {"run", "verify-bounds", "report"}),
 }
 
 

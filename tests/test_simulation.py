@@ -17,6 +17,7 @@ from signvote.simulation import (
     DivergedError,
     ExperimentConfig,
     IdxData,
+    RunRecord,
     SyntheticData,
     byzantine_count,
     config_from_mapping,
@@ -467,6 +468,7 @@ class TestArtifacts:
         path = tmp_path / "summary.json"
         write_summary_json(record, path)
         payload = json.loads(path.read_text())
+        assert set(payload) == {"config", "wall_time_s"}
         rebuilt = config_from_mapping(payload["config"])
         assert rebuilt == cfg
         replay = run_experiment(rebuilt)
@@ -483,6 +485,29 @@ class TestArtifacts:
             section: {k: str(v) for k, v in body.items()} for section, body in mapping.items()
         }
         assert config_from_mapping(as_text) == make_config()
+
+    @pytest.mark.parametrize("cfg", [
+        make_config(workers=np.int64(5), rounds=np.int64(12), eval_every=np.int64(4),
+                    seed=2**64 - 1, samples=np.int64(60), batch_size=np.int64(4)),
+        make_config(strategy="blind-invert", alpha=1 / 3, workers=6, seed=2**64 - 1),
+        make_config(alpha=-0.0, eta=0.1 + 0.2),
+        dataclasses.replace(make_config(kind="linear-regression", strategy="blind-invert",
+                                        alpha=1 / 3),
+                            data=IdxData("img.idx", "lab.idx")),
+    ], ids=["numpy-ints", "third", "negative-zero", "idx"])
+    def test_text_echo_round_trips(self, tmp_path, cfg):
+        """Through its JSON text echo, a config built directly comes back equal,
+        numpy integers and floats without a short decimal included."""
+        mapping = config_to_mapping(cfg)
+        assert all(isinstance(value, str) for body in mapping.values() for value in body.values())
+        rebuilt = config_from_mapping(json.loads(json.dumps(mapping)))
+        assert rebuilt == cfg
+        write_summary_json(RunRecord(cfg, [], np.zeros(1), 0.0), tmp_path / "summary.json")
+        if isinstance(cfg.data, SyntheticData):
+            paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+            for config, path in zip((cfg, rebuilt), paths):
+                write_metrics_csv(run_experiment(config), path)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_missing_section_rejected(self):
         mapping = config_to_mapping(make_config())
@@ -554,8 +579,11 @@ class TestConfigMapping:
 
     @pytest.mark.parametrize("name", sorted(BUNDLED_MAPPINGS))
     def test_bundled_config_mapping_as_recorded(self, name):
+        """The recorded mapping held typed values; each is now its text."""
         mapping = config_to_mapping(config_from_mapping(bundled_mapping(name)))
-        assert json.dumps(mapping, sort_keys=True) == BUNDLED_MAPPINGS[name]
+        recorded = json.loads(BUNDLED_MAPPINGS[name])
+        assert mapping == {section: {key: str(value) for key, value in body.items()}
+                           for section, body in recorded.items()}
 
     def test_defaults_are_the_dataclasses(self):
         mapping = {"model": {"kind": "linear-regression", "input_dim": "3"},
@@ -619,8 +647,15 @@ class TestConfigMapping:
 
     @pytest.mark.parametrize("value", [7, "7", " 7 ", np.int64(7)])
     def test_int_keys_take_integers(self, value):
+        """An integer key takes the text of an integer, padded or not; a typed
+        integer, Python or numpy, is no text and is rejected."""
         mapping = bundled_mapping("logistic_blind")
         mapping["run"]["workers"] = value
+        if not isinstance(value, str):
+            with pytest.raises(ValueError) as exc:
+                config_from_mapping(mapping)
+            assert str(exc.value) == f"bad value for config key 'workers': {value!r}"
+            return
         cfg = config_from_mapping(mapping)
         assert cfg.n_workers == 7 and type(cfg.n_workers) is int
 
