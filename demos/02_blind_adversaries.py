@@ -7,25 +7,14 @@ the majority per coordinate, the broadcast sign barely changes.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 from signvote import run_experiment
-from signvote.simulation import (
-    AdversaryConfig,
-    ExperimentConfig,
-    SyntheticData,
-)
-from signvote.models import ModelSpec
-from signvote.optimizers import OptimizerConfig
+from signvote.adversaries import byzantine_count
+from signvote.simulation import AdversaryConfig, config_from_mapping, read_ini
 
-BASE = ExperimentConfig(
-    model=ModelSpec("logistic-regression", 20, num_classes=2),
-    data=SyntheticData(n_samples=2000),
-    optimizer=OptimizerConfig("signum", eta=0.035, beta=0.9, batch_size=16),
-    n_workers=15,
-    adversary=AdversaryConfig("blind-invert", 0.0),
-    n_rounds=300,
-    seed=8005,
-)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BASE = config_from_mapping(read_ini(CONFIGS / "logistic_blind.cfg"))
 
 RULES = {
     "dist-sgd": replace(BASE.optimizer, rule="dist-sgd", beta=0.0, eta=0.35),
@@ -39,7 +28,7 @@ for rule, opt in RULES.items():
         cfg = replace(BASE, optimizer=opt, adversary=AdversaryConfig("blind-invert", alpha))
         record = run_experiment(cfg)
         last = record.metrics[-1]
-        f = round(alpha * cfg.n_workers)
+        f = byzantine_count(alpha, cfg.n_workers)
         print(f"{rule:>9s} {alpha:6.1f} {f:3d} {last.train_loss:11.4f} {last.eval_accuracy:10.4f}")
     print()
 

@@ -9,14 +9,13 @@ only one eta step, so the damage per round is bounded.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from signvote import run_experiment
-from signvote.adversaries import byz_collude_signs
-from signvote.models import ModelSpec
-from signvote.optimizers import OptimizerConfig
-from signvote.simulation import AdversaryConfig, ExperimentConfig, SyntheticData
+from signvote.adversaries import byz_collude_signs, byzantine_count
+from signvote.simulation import AdversaryConfig, config_from_mapping, read_ini
 
 print("per-coordinate strategy at f = 3 (honest sums -5..5):")
 honest = np.arange(-5, 6)
@@ -30,14 +29,8 @@ alternating variant can leave the honest sign standing (s=2, f=3 above),
 which is why the zeroing variant is the default attack in experiments.
 """)
 
-BASE = ExperimentConfig(
-    model=ModelSpec("logistic-regression", 20, num_classes=2),
-    data=SyntheticData(n_samples=2000),
-    optimizer=OptimizerConfig("signum", eta=0.035, beta=0.9, batch_size=16),
-    n_workers=15,
-    n_rounds=300,
-    seed=8005,
-)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BASE = config_from_mapping(read_ini(CONFIGS / "logistic_byzantine.cfg"))
 
 print(f"{'strategy':>22s} {'alpha':>6s} {'f':>3s} {'final loss':>11s} {'final acc':>10s} {'zero frac':>10s}")
 for strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
@@ -45,7 +38,7 @@ for strategy in ("byz-collude-zeroing", "byz-collude-alternating"):
         cfg = replace(BASE, adversary=AdversaryConfig(strategy, alpha))
         record = run_experiment(cfg)
         last = record.metrics[-1]
-        print(f"{strategy:>22s} {alpha:6.3f} {round(alpha * 15):3d} "
+        print(f"{strategy:>22s} {alpha:6.3f} {byzantine_count(alpha, cfg.n_workers):3d} "
               f"{last.train_loss:11.4f} {last.eval_accuracy:10.4f} {last.zero_fraction:10.3f}")
     print()
 

@@ -7,30 +7,22 @@ against the majority vote is just one vote among many.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 from signvote import run_experiment
-from signvote.models import ModelSpec
-from signvote.optimizers import OptimizerConfig
-from signvote.simulation import AdversaryConfig, ExperimentConfig, SyntheticData
+from signvote.simulation import AdversaryConfig, config_from_mapping, read_ini
 
-BASE = ExperimentConfig(
-    model=ModelSpec("logistic-regression", 20, num_classes=2),
-    data=SyntheticData(n_samples=2000),
-    optimizer=OptimizerConfig("dist-sgd", eta=0.35, batch_size=16),
-    n_workers=3,
-    n_rounds=300,
-    seed=8005,
-)
+# one of 3 dist-sgd workers runs the inverse-sum attack
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BASE = config_from_mapping(read_ini(CONFIGS / "sgd_inverse_sum.cfg"))
 
-clean = run_experiment(BASE)
-attacked = run_experiment(
-    replace(BASE, adversary=AdversaryConfig("byz-inverse-sum", 1 / 3))
-)
+clean = run_experiment(replace(BASE, adversary=AdversaryConfig()))
+attacked = run_experiment(BASE)
 sign_rule = run_experiment(
     replace(
         BASE,
-        optimizer=OptimizerConfig("signum", eta=0.035, beta=0.9, batch_size=16),
-        adversary=AdversaryConfig("byz-oppose-true-sign", 1 / 3),
+        optimizer=replace(BASE.optimizer, rule="signum", eta=0.035, beta=0.9),
+        adversary=replace(BASE.adversary, strategy="byz-oppose-true-sign"),
     )
 )
 

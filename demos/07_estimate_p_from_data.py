@@ -8,10 +8,13 @@ Monte Carlo, watch it grow with the batch size, and plug it into the rate
 bound together with an empirical noise-scale estimate.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from signvote.core import RngStream
-from signvote.models import ModelSpec, full_batch, generate_synthetic, loss
+from signvote.models import full_batch, loss
+from signvote.simulation import config_from_mapping, load_data, read_ini
 from signvote.theory import (
     BoundInputs,
     estimate_sigma,
@@ -20,8 +23,9 @@ from signvote.theory import (
     rate_bound_byzantine,
 )
 
-spec = ModelSpec("logistic-regression", 20, num_classes=2)
-data, _ = generate_synthetic(RngStream(8005, 2**32), "logistic-regression", 20, 2000)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+cfg = config_from_mapping(read_ini(CONFIGS / "logistic_blind.cfg"))
+spec, data = cfg.model, load_data(cfg)
 params = 0.1 * RngStream(8005, 1).generator.standard_normal(spec.param_dim)
 
 print("p vs batch size (400 Monte Carlo minibatches each):")

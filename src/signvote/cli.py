@@ -24,10 +24,12 @@ from .models import IdxFormatError, max_relative_grad_error, sample_batch
 from .simulation import (
     DivergedError,
     ExperimentConfig,
+    GRADIENT_CHECK_STREAM_ID,
     RunRecord,
     config_from_mapping,
     load_data,
     parse_sections,
+    read_ini,
     run_experiment,
     sweep_configs,
     write_csv,
@@ -61,23 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure("usage", message)
 
 
-def _read_config(path: str, overrides=()) -> dict:
-    """``{section: {key: value}}`` of an INI file, with ``section.key=value``
-    overrides applied; an OSError from opening the file propagates.  An
-    override's key and value read as an INI line's: stripped, the key lower-cased."""
-    parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as handle:
-        parser.read_file(handle)
-    mapping = {section: dict(parser.items(section)) for section in parser.sections()}
-    for item in overrides or ():
-        key, sep, value = item.partition("=")
-        section, dot, name = key.strip().partition(".")
-        if not sep or not dot or not section or not name:
-            raise ValueError(f"override {item!r} must look like section.key=value")
-        mapping.setdefault(section, {})[parser.optionxform(name.strip())] = value.strip()
-    return mapping
-
-
 @contextlib.contextmanager
 def _reading(what: str):
     """Block that reads and parses a config: a file that cannot be opened is
@@ -102,19 +87,21 @@ def _writing(path: str):
 @contextlib.contextmanager
 def _building(**fields):
     """Block that builds a dataset and runs on it: a dataset that cannot be read
-    is ``dataset-error``, a run that diverges ``diverged`` (exit 1) with its round
-    and ``fields``."""
+    is ``dataset-error``, a run too large to allocate ``config-invalid``, a run
+    that diverges ``diverged`` (exit 1) with its round and ``fields``."""
     try:
         yield
     except (IdxFormatError, OSError) as exc:
         raise _Failure("dataset-error", str(exc)) from exc
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        raise _Failure("config-invalid", str(exc) or "out of memory") from exc
     except DivergedError as exc:
         raise _Failure("diverged", str(exc), EXIT_FAIL, round=exc.round, **fields) from exc
 
 
 def _load_config(args) -> ExperimentConfig:
     with _reading("config"):
-        return config_from_mapping(_read_config(args.config, args.set))
+        return config_from_mapping(read_ini(args.config, args.set))
 
 
 def _make_dir(path: str) -> str:
@@ -185,7 +172,7 @@ GRID_KEYS = {
 
 def _cmd_verify_bounds(args) -> int:
     with _reading("grid config"):
-        grids = (parse_sections(_read_config(args.grid_config), GRID_KEYS)
+        grids = (parse_sections(read_ini(args.grid_config), GRID_KEYS)
                  if args.grid_config else {})
         rows = theory.bound_report(**{GRID_KEYS[key][0]: value for key, value in grids.items()})
     if not rows:
@@ -206,14 +193,14 @@ def _cmd_gradient_check(args) -> int:
     if args.points < 1:
         raise _Failure("usage", f"--points must be >= 1, got {args.points}")
     cfg = _load_config(args)
+    stream = RngStream(cfg.seed, GRADIENT_CHECK_STREAM_ID)
+    worst = 0.0
     with _building():
         data = load_data(cfg)
-    stream = RngStream(cfg.seed, 2**33)
-    worst = 0.0
-    for _ in range(args.points):
-        params = stream.generator.standard_normal(cfg.model.param_dim)
-        batch = sample_batch(stream, data.n_samples, min(8, data.n_samples))
-        worst = max(worst, max_relative_grad_error(cfg.model, params, data, batch))
+        for _ in range(args.points):
+            params = stream.generator.standard_normal(cfg.model.param_dim)
+            batch = sample_batch(stream, data.n_samples, min(8, data.n_samples))
+            worst = max(worst, max_relative_grad_error(cfg.model, params, data, batch))
     ok = worst < GRADIENT_CHECK_TOLERANCE
     write_json({
         "status": "ok" if ok else "gradient-mismatch",

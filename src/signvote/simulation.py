@@ -15,6 +15,7 @@ order in which workers are visited.
 
 from __future__ import annotations
 
+import configparser
 import json
 import math
 import time
@@ -62,6 +63,7 @@ __all__ = [
     "DivergedError",
     "INIT_STREAM_ID",
     "ExperimentConfig",
+    "GRADIENT_CHECK_STREAM_ID",
     "IdxData",
     "METRICS_HEADER",
     "RoundMetrics",
@@ -72,6 +74,7 @@ __all__ = [
     "config_to_mapping",
     "load_data",
     "parse_sections",
+    "read_ini",
     "run_experiment",
     "sweep_configs",
     "write_csv",
@@ -80,9 +83,11 @@ __all__ = [
     "write_summary_json",
 ]
 
-# reserved stream ids, far above any worker index
+# reserved stream ids, far above any worker index; gradient-check draws its
+# evaluation points from GRADIENT_CHECK_STREAM_ID
 DATA_STREAM_ID = 2**32
 INIT_STREAM_ID = 2**32 + 1
+GRADIENT_CHECK_STREAM_ID = 2**33
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -377,7 +382,7 @@ def write_summary_json(record: RunRecord, path) -> None:
         write_json(payload, handle, indent=2)
 
 
-# -- config <-> plain mapping ---------------------------------------------------
+# -- config <-> INI file and plain mapping -------------------------------------
 
 
 # Every key a run config may use: (section, key) -> (dataclass, field it fills,
@@ -404,6 +409,23 @@ CONFIG_KEYS = {
     ("run", "seed"): (ExperimentConfig, "seed", int),
     ("run", "eval_every"): (ExperimentConfig, "eval_every", int),
 }
+
+
+def read_ini(path, overrides=()) -> dict:
+    """``{section: {key: value}}`` of an INI file, with ``section.key=value``
+    overrides applied; an OSError from opening the file propagates.  An
+    override's key and value read as an INI line's: stripped, the key lower-cased."""
+    parser = configparser.ConfigParser()
+    with open(path, "r", encoding="utf-8") as handle:
+        parser.read_file(handle)
+    mapping = {section: dict(parser.items(section)) for section in parser.sections()}
+    for item in overrides or ():
+        key, sep, value = item.partition("=")
+        section, dot, name = key.strip().partition(".")
+        if not sep or not dot or not section or not name:
+            raise ValueError(f"override {item!r} must look like section.key=value")
+        mapping.setdefault(section, {})[parser.optionxform(name.strip())] = value.strip()
+    return mapping
 
 
 def parse_sections(mapping: dict, keys: dict) -> dict:

@@ -29,7 +29,7 @@ from signvote.models import (
 )
 from signvote.optimizers import server_aggregate_signs
 from signvote.adversaries import byz_collude_signs
-from signvote.simulation import config_from_mapping, run_experiment, write_metrics_csv
+from signvote.simulation import config_from_mapping, read_ini, run_experiment, write_metrics_csv
 from signvote.theory import (
     NoiseModel,
     SYMMETRIC_BREAKPOINT,
@@ -48,11 +48,7 @@ MC_SAMPLES = 100_000
 
 
 def load_bundled_config(name="logistic_blind.cfg"):
-    import configparser
-
-    parser = configparser.ConfigParser()
-    parser.read(REPO / "configs" / name)
-    return config_from_mapping({s: dict(parser.items(s)) for s in parser.sections()})
+    return config_from_mapping(read_ini(REPO / "configs" / name))
 
 
 BASE = load_bundled_config()  # signum, eta 0.035, beta 0.9, M=15, K=300, seed 8005

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from signvote.cli import GRID_KEYS, _read_config, main
+from signvote.cli import GRID_KEYS, main
 from signvote.simulation import (CONFIG_KEYS, config_from_mapping, config_to_mapping,
-                                 parse_sections)
+                                 parse_sections, read_ini)
 
 REPO = Path(__file__).resolve().parents[1]
 BLIND_CONFIG = str(REPO / "configs" / "logistic_blind.cfg")
@@ -402,7 +402,7 @@ class TestMisspeltConfig:
         """``--set "section.KEY  =  value  "`` builds the config that the INI line
         ``KEY  =  value  `` does: the key is lower-cased, key and value stripped."""
         base = BLIND_CONFIG if (section, key) == ("data", "samples") else MNIST_CONFIG
-        cfg = config_from_mapping(_read_config(base))
+        cfg = config_from_mapping(read_ini(base))
         mapping = config_to_mapping(cfg)
         value = mapping[section].pop(key)
 
@@ -414,9 +414,9 @@ class TestMisspeltConfig:
             return str(path)
 
         line = f"{key.upper()}  =  {value}  "
-        from_ini = config_from_mapping(_read_config(write("ini.cfg", line + "\n")))
-        from_set = config_from_mapping(_read_config(write("base.cfg", ""),
-                                                    [f"{section}.{line}"]))
+        from_ini = config_from_mapping(read_ini(write("ini.cfg", line + "\n")))
+        from_set = config_from_mapping(read_ini(write("base.cfg", ""),
+                                                [f"{section}.{line}"]))
         assert from_ini == from_set == cfg
 
     @pytest.mark.parametrize("section, key", [("mc", "seed"), ("vote", "workers")])
@@ -565,6 +565,24 @@ class TestBadPathsAndCounts:
         code, payload = run_cli(capsys, "gradient-check", "--config", cfg, "--points", points)
         assert (code, payload) == (2, {"error": "usage",
                                        "message": f"--points must be >= 1, got {points}"})
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "0", "--rules", "signum"],
+                                         ["gradient-check"]])
+    @pytest.mark.parametrize("overrides", [
+        ["model.kind=mlp", "model.hidden_dim=1000000000000"],  # 167 TiB of parameters
+        ["data.samples=10000000000000"],  # 1.42 PiB of features
+    ], ids=["hidden-dim", "samples"])
+    def test_run_too_large_to_allocate(self, tmp_path, capsys, command, overrides):
+        """A run that needs an array larger than a process's address space
+        (128 TiB) is a config error that names the allocation, not a traceback:
+        numpy refuses the array before any memory is touched."""
+        out = ["--out", str(tmp_path / "x")] if command[0] != "gradient-check" else []
+        sets = [word for item in overrides for word in ("--set", item)]
+        code = main([command[0], "--config", BLIND_CONFIG, *out, *command[1:], *sets])
+        stdout, stderr = capsys.readouterr()
+        payload = json.loads(stdout)
+        assert (code, payload["error"], stderr) == (2, "config-invalid", "")
+        assert "allocate" in payload["message"]
 
     @pytest.mark.parametrize("alphas, rules", [("0.1,0.1", "signsgd"),
                                                ("0.1,0.1000001", "signsgd"),

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from signvote.simulation import (
     config_from_mapping,
     config_to_mapping,
     load_data,
+    read_ini,
     run_experiment,
     sweep_configs,
     write_json,
@@ -479,13 +481,6 @@ class TestArtifacts:
                           eval_every=5)
         assert config_from_mapping(config_to_mapping(cfg)) == cfg
 
-    def test_mapping_accepts_strings(self):
-        mapping = config_to_mapping(make_config())
-        as_text = {
-            section: {k: str(v) for k, v in body.items()} for section, body in mapping.items()
-        }
-        assert config_from_mapping(as_text) == make_config()
-
     @pytest.mark.parametrize("cfg", [
         make_config(workers=np.int64(5), rounds=np.int64(12), eval_every=np.int64(4),
                     seed=2**64 - 1, samples=np.int64(60), batch_size=np.int64(4)),
@@ -547,12 +542,7 @@ def every_key_configs():
 
 
 def bundled_mapping(name):
-    import configparser
-    from pathlib import Path
-
-    parser = configparser.ConfigParser()
-    parser.read(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    return read_ini(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
 
 
 class TestConfigMapping:
@@ -561,12 +551,14 @@ class TestConfigMapping:
         for cfg in every_key_configs():
             mapping = config_to_mapping(cfg)
             keys |= {(section, key) for section, body in mapping.items() for key in body}
-            as_text = {section: {k: str(v) for k, v in body.items()}
-                       for section, body in mapping.items()}
             assert config_from_mapping(mapping) == cfg
-            assert config_from_mapping(as_text) == cfg
             assert config_from_mapping(json.loads(json.dumps(mapping))) == cfg
         assert keys == set(CONFIG_KEYS)
+
+    def test_read_ini_missing_file_raises(self, tmp_path):
+        """An INI path that does not exist is an error, never an empty mapping."""
+        with pytest.raises(FileNotFoundError):
+            read_ini(tmp_path / "missing.cfg")
 
     def test_one_dataclass_per_section(self):
         """Only [data] fills more than one class: one per data source."""
@@ -776,15 +768,10 @@ class TestCallStructure:
     """
 
     def test_per_message_calls_on_byzantine_config(self, monkeypatch):
-        import configparser
-        from pathlib import Path
-
         import signvote.core
         import signvote.simulation
 
-        parser = configparser.ConfigParser()
-        parser.read(Path(__file__).resolve().parents[1] / "configs" / "logistic_byzantine.cfg")
-        mapping = {s: dict(parser.items(s)) for s in parser.sections()}
+        mapping = bundled_mapping("logistic_byzantine")
         mapping["run"]["rounds"] = "10"
         cfg = config_from_mapping(mapping)
         counts = {"as_signs": 0, "grad": 0}

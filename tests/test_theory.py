@@ -17,6 +17,7 @@ from signvote.models import (
     sample_batch,
     sample_batches,
 )
+from signvote.simulation import DATA_STREAM_ID
 from signvote.theory import (
     BERNOULLI_SUCCESS,
     DEFAULT_VOTE_ALPHA,
@@ -556,7 +557,7 @@ ESTIMATOR_SHA256 = {
 
 def test_estimators_keep_recorded_bytes():
     spec = ModelSpec("logistic-regression", 20, num_classes=2)
-    data, _ = generate_synthetic(RngStream(8005, 2**32), "logistic-regression", 20, 2000)
+    data, _ = generate_synthetic(RngStream(8005, DATA_STREAM_ID), "logistic-regression", 20, 2000)
     params = 0.1 * RngStream(8005, 1).generator.standard_normal(spec.param_dim)
     rates, mask = estimate_sign_match_profile(spec, params, data, 32, 400, RngStream(8005, 3))
     probs = np.array([estimate_sign_match_prob(spec, params, data, size, 400, RngStream(8005, 2))
