@@ -14,6 +14,8 @@ of zero) while the variance-only bound, capped at 1, still holds.
 
 from signvote.core import RngStream
 from signvote.theory import (
+    DEFAULT_SNR_GRID,
+    NOISE_FAMILIES,
     NoiseModel,
     SYMMETRIC_BREAKPOINT,
     mc_sign_error,
@@ -21,13 +23,12 @@ from signvote.theory import (
     sign_error_bound_symmetric,
 )
 
-GRID = (0.25, 0.5, 1.0, SYMMETRIC_BREAKPOINT, 2.0, 4.0)
 SAMPLES = 200_000
 
 print(f"{'family':>18s} {'S':>6s} {'observed':>9s} {'symmetric':>10s} {'var-only':>9s}")
 stream_id = 0
-for family in ("gaussian", "laplace", "shifted-bernoulli"):
-    for snr in GRID:
+for family in NOISE_FAMILIES:
+    for snr in DEFAULT_SNR_GRID:
         stream_id += 1
         noise = NoiseModel(family, mean=snr, sigma=1.0)
         observed, _ = mc_sign_error(noise, SAMPLES, RngStream(8005, stream_id))

@@ -13,6 +13,7 @@ import numpy as np
 from signvote.optimizers import prescribed_hyperparams
 from signvote.theory import (
     BoundInputs,
+    DEFAULT_VOTE_WORKERS,
     rate_bound_blind,
     rate_bound_byzantine,
     vote_failure_cantelli,
@@ -21,7 +22,7 @@ from signvote.theory import (
 
 print("exact binomial tail vs closed-form bound (p = 0.9):")
 print(f"{'M':>5s} {'alpha':>6s} {'exact':>12s} {'cantelli':>10s}")
-for n_workers in (11, 51, 101, 501):
+for n_workers in DEFAULT_VOTE_WORKERS:
     for alpha in (0.0, 0.2, 0.3):
         exact = vote_failure_exact(n_workers, alpha, 0.9)
         bound = vote_failure_cantelli(n_workers, alpha, 0.9)

@@ -25,7 +25,6 @@ from .simulation import (
     DivergedError,
     ExperimentConfig,
     GRADIENT_CHECK_STREAM_ID,
-    RunRecord,
     config_from_mapping,
     load_data,
     parse_sections,
@@ -77,8 +76,10 @@ def _reading(what: str):
 
 @contextlib.contextmanager
 def _writing(path: str):
-    """Block that writes ``path``; an OSError in it becomes a usage error naming it."""
+    """Block that writes ``path``, whose directory it makes first; an OSError in
+    it becomes a usage error naming it."""
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         yield path
     except OSError as exc:  # e.g. the path is a directory, or lies under a file
         raise _Failure("usage", f"cannot write {path!r}: {exc}") from exc
@@ -104,13 +105,11 @@ def _load_config(args) -> ExperimentConfig:
         return config_from_mapping(read_ini(args.config, args.set))
 
 
-def _make_dir(path: str) -> str:
-    with _writing(path):
-        os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_run(record: RunRecord, out_dir: str) -> dict:
+def _run_into(cfg: ExperimentConfig, out_dir: str, **fields) -> dict:
+    """Run ``cfg`` inside ``_building(**fields)``, then write its ``metrics.csv``
+    and ``summary.json`` into ``out_dir``, which only a finished run makes."""
+    with _building(**fields):
+        record = run_experiment(cfg)
     with _writing(os.path.join(out_dir, "metrics.csv")) as path:
         write_metrics_csv(record, path)
     with _writing(os.path.join(out_dir, "summary.json")) as path:
@@ -126,10 +125,7 @@ def _write_run(record: RunRecord, out_dir: str) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    out = _make_dir(args.out)
-    with _building():
-        record = run_experiment(cfg)
-    write_json({"status": "ok", **_write_run(record, out)}, sys.stdout)
+    write_json({"status": "ok", **_run_into(cfg, args.out)}, sys.stdout)
     return EXIT_OK
 
 
@@ -142,18 +138,13 @@ def _grid(convert):
 
 def _cmd_sweep(args) -> int:
     base = _load_config(args)
-    try:  # a grid that is empty or names one run twice
+    try:  # a grid that is empty, names one run twice, or has a value its config rejects
         pairs = sweep_configs(base, args.alphas, args.rules)
     except ValueError as exc:
         raise _Failure("usage", str(exc)) from exc
-    out = _make_dir(args.out)
-    run_dirs = [_make_dir(os.path.join(out, name)) for name, _ in pairs]
-    runs = []
-    for (name, cfg), run_dir in zip(pairs, run_dirs):
-        with _building(run=name):
-            record = run_experiment(cfg)
-        runs.append({"name": name, **_write_run(record, run_dir)})
-    write_json({"status": "ok", "out": out, "runs": runs}, sys.stdout)
+    runs = [{"name": name, **_run_into(cfg, os.path.join(args.out, name), run=name)}
+            for name, cfg in pairs]
+    write_json({"status": "ok", "out": args.out, "runs": runs}, sys.stdout)
     return EXIT_OK
 
 
@@ -177,12 +168,11 @@ def _cmd_verify_bounds(args) -> int:
         rows = theory.bound_report(**{GRID_KEYS[key][0]: value for key, value in grids.items()})
     if not rows:
         raise _Failure("empty-grid", "the configured grids contain no check points")
-    out = _make_dir(args.out)
-    with _writing(os.path.join(out, "bounds.csv")) as path:
+    with _writing(os.path.join(args.out, "bounds.csv")) as path:
         write_csv(path, theory.REPORT_HEADER,
                   ([row[key] for key in theory.REPORT_HEADER] for row in rows))
     summary = theory.summarize_report(rows)
-    with (_writing(os.path.join(out, "bounds_summary.json")) as path,
+    with (_writing(os.path.join(args.out, "bounds_summary.json")) as path,
           open(path, "w", encoding="utf-8") as handle):
         write_json(summary, handle, indent=2)
     write_json({"status": "ok" if summary["all_pass"] else "violations", **summary}, sys.stdout)
@@ -255,7 +245,6 @@ def _cmd_report(args) -> int:
     if not rows:
         raise _Failure("no-valid-runs", "none of the given run directories were readable")
     with _writing(args.out) as out_path:
-        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         write_csv(out_path, ("rule", "alpha", "final_loss", "final_accuracy",
                              "steps_to_threshold"), rows)
     write_json({"status": "ok", "out": out_path, "rows": len(rows)}, sys.stdout)
@@ -275,6 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
             raise ValueError(text)
         return value
 
+    def path(text):  # as above; an empty --out would write into the working directory
+        if not text:
+            raise ValueError(text)
+        return text
+
     parser = _Parser(
         prog="signvote",
         description="sign-based distributed gradient descent under adversarial workers",
@@ -285,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep", help="one run per (alpha, rule) pair")
     for sub in (run, sweep):
         _add_config_args(sub)
-        sub.add_argument("--out", required=True, help="output directory")
+        sub.add_argument("--out", required=True, type=path, help="output directory")
     run.set_defaults(func=_cmd_run)
     sweep.add_argument("--alphas", required=True, type=_grid(float),
                        help="comma-separated adversary fractions")
@@ -294,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     verify = commands.add_parser("verify-bounds", help="check bounds on a numeric grid")
-    verify.add_argument("--out", default=".", help="output directory (default: %(default)s)")
+    verify.add_argument("--out", default=".", type=path,
+                        help="output directory (default: %(default)s)")
     verify.add_argument("--grid-config", help="INI file customizing the grids")
     verify.set_defaults(func=_cmd_verify_bounds)
 
@@ -307,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = commands.add_parser("report", help="tabulate finished runs into one CSV")
     report.add_argument("run_dirs", nargs="+", help="run directories with metrics + summary")
-    report.add_argument("--out", default="report.csv",
+    report.add_argument("--out", default="report.csv", type=path,
                         help="output CSV path (default: %(default)s)")
     report.add_argument("--loss-threshold", type=finite,
                         help="finite loss level for the steps-to-threshold column "

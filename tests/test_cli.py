@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from signvote import cli
 from signvote.cli import GRID_KEYS, main
-from signvote.simulation import (CONFIG_KEYS, config_from_mapping, config_to_mapping,
-                                 parse_sections, read_ini)
+from signvote.simulation import (CONFIG_KEYS, DivergedError, config_from_mapping,
+                                 config_to_mapping, parse_sections, read_ini, run_experiment)
 
 REPO = Path(__file__).resolve().parents[1]
 BLIND_CONFIG = str(REPO / "configs" / "logistic_blind.cfg")
@@ -559,6 +560,20 @@ class TestBadPathsAndCounts:
         assert (code, payload["error"]) == (2, "usage")
         assert payload["message"].startswith(f"cannot write {str(out / blocked)!r}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "missing.cfg"],
+        ["sweep", "--config", "missing.cfg", "--alphas", "0", "--rules", "signsgd"],
+        ["verify-bounds", "--grid-config", "missing.cfg"],
+        ["report", "missing-run"],
+    ], ids=["run", "sweep", "verify-bounds", "report"])
+    def test_empty_out(self, tmp_path, capsys, monkeypatch, argv):
+        """``--out ""`` names no path: argparse rejects it before the missing
+        config (or run directory) is read, and nothing lands in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        message = usage_message(capsys, *argv, "--out", "")
+        assert message == "argument --out: invalid path value: ''"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_gradient_check_needs_a_point(self, tmp_path, capsys, points):
         cfg = write_quick_config(tmp_path)
@@ -583,6 +598,7 @@ class TestBadPathsAndCounts:
         payload = json.loads(stdout)
         assert (code, payload["error"], stderr) == (2, "config-invalid", "")
         assert "allocate" in payload["message"]
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("alphas, rules", [("0.1,0.1", "signsgd"),
                                                ("0.1,0.1000001", "signsgd"),
@@ -940,16 +956,38 @@ class TestDiverged:
         assert code == 1
         assert payload["error"] == "diverged"
         assert payload["round"] == 2
-        assert not (out / "metrics.csv").exists()
+        assert not out.exists()
 
-    def test_sweep_names_the_run(self, tmp_path, capsys):
+    def test_sweep_names_the_run(self, tmp_path, capsys, monkeypatch):
+        """A sweep stops at the first run that diverges and keeps the finished
+        runs before it; the diverged run and the ones after it make no directory."""
+        out = tmp_path / "sweep"
         code, payload = run_cli(capsys, "sweep", "--config", BLIND_CONFIG,
-                                "--out", str(tmp_path / "sweep"), "--alphas", "0,0.2",
+                                "--out", str(out), "--alphas", "0,0.2",
                                 "--rules", "signsgd", "--set", "optimizer.eta=1e308",
                                 "--set", "run.rounds=20")
         assert code == 1
         assert payload == {"error": "diverged", "message": payload["message"], "round": 2,
                            "run": "signsgd-alpha0"}
+        assert not out.exists()
+
+        calls = []
+
+        def second_diverges(cfg):
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise DivergedError(2)
+            return run_experiment(cfg)
+
+        monkeypatch.setattr(cli, "run_experiment", second_diverges)
+        cfg = write_quick_config(tmp_path)
+        code, payload = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out),
+                                "--alphas", "0", "--rules", "signsgd,signum,dist-sgd")
+        assert (code, payload["error"], payload["run"]) == (1, "diverged", "signum-alpha0")
+        assert len(calls) == 2
+        assert sorted(path.name for path in out.iterdir()) == ["signsgd-alpha0"]
+        assert sorted(path.name for path in (out / "signsgd-alpha0").iterdir()) == [
+            "metrics.csv", "summary.json"]
 
     @pytest.mark.parametrize("overrides, code, expected", [
         # the divisor 10**k overflows from step 309 on: eta reads 0.0 and the run ends

@@ -1,12 +1,14 @@
 """Property tests for the sign-message check, the integer sign sum, the vote,
-the momentum update, the two omniscient attacks and the batch check.
+the momentum update, the three omniscient attacks and the batch check.
 
 Each property compares the library with a plain reference kept here: the
 ``np.isin`` membership check, a per-row int64 loop, a per-coordinate count of
 +1 and -1 votes, the textbook momentum expression, and the outcomes the
-attacks promise (a zeroed or flipped vote, an exactly zero mean).
+attacks promise (a zeroed or flipped vote, an exactly zero mean, and a vote
+no worse than that of any other adversary block).
 """
 
+import itertools
 import math
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from signvote.adversaries import byz_collude_signs, byz_inverse_sum
+from signvote.adversaries import byz_collude_signs, byz_inverse_sum, byz_oppose_true_sign
 from signvote.core import as_signs, sum_signs
 from signvote.models import Dataset, ModelSpec, grad, loss, max_relative_grad_error
 from signvote.optimizers import (
@@ -208,6 +210,23 @@ class TestAttackProperties:
         assert messages.shape == (workers, dim)
         mean = server_aggregate_sgd(messages)
         assert np.all(mean == 0.0)
+
+    @SETTINGS
+    @given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 5), st.data())
+    def test_oppose_true_sign_is_the_worst_case(self, f, dim, workers, data):
+        """Against any honest votes, f adversaries that oppose the true gradient g
+        drive the alignment g . vote as low as the best of all 3**(f d) blocks
+        of votes in {-1, 0, 1}; a zero entry of g is a coordinate nobody can win."""
+        honest = data.draw(hnp.arrays(np.int8, (workers, dim), elements=st.sampled_from(SIGNS)))
+        g = data.draw(hnp.arrays(np.float64, dim,
+                                 elements=st.sampled_from((-2.5, -1.0, 0.0, 0.0, 0.5, 3.0))))
+
+        def alignment(block):
+            return float(g @ server_aggregate_signs(np.concatenate([honest, block])))
+
+        worst = min(alignment(np.array(votes, dtype=np.int8).reshape(f, dim))
+                    for votes in itertools.product(SIGNS, repeat=f * dim))
+        assert alignment(byz_oppose_true_sign(g, f)) == worst
 
 
 BATCH_SPEC = ModelSpec("logistic-regression", 3, num_classes=2)
